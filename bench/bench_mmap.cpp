@@ -1,18 +1,20 @@
-// E18: zero-copy mmap snapshots (.plgl v3) vs the v2 heap load.
+// E18: zero-copy mmap snapshots (.plgl v3) vs the v2 convert-on-load path.
 //
 // The storage subsystem (src/store/) claims that a v3 snapshot admission
 // is O(header + directory + plan build) — open the mapping, validate the
 // geometry, parse per-label decode plans that alias the mapping — while
-// the v2 heap path pays a full strict parse, a per-shard re-serialize +
-// re-parse through the CRC admission gate, and a copy of every label
-// byte into serving memory. This harness measures both ends of that
-// trade on the Theorem 3 workload:
+// a v2 file pays a full strict parse, a decode of every label, and a
+// re-serialize into an in-memory v3 image before the same plan build.
+// Both snapshots then serve from the same representation. The "heap"
+// names below (and the heap_* JSON keys, kept for baseline
+// compatibility) denote the v2 side. This harness measures both ends of
+// that trade on the Theorem 3 workload:
 //
 //   1. generate a Chung-Lu power-law graph (default n = 2^22, alpha
 //      2.5), encode thin/fat labels,
 //   2. persist the SAME labeling twice: v2 (LabelStore::save_file) and
 //      v3 (store::StoreWriter::write_file),
-//   3. admission: time Snapshot::from_file on each — the v2 heap load
+//   3. admission: time Snapshot::from_file on each — the v2 conversion
 //      once (it is the slow side), the v3 mmap load `reps` times
 //      (best-of, it is milliseconds-scale and page-cache sensitive),
 //   4. query throughput: identical single-thread adjacency sweeps over

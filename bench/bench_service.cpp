@@ -47,7 +47,6 @@ struct SweepPoint {
   double speedup = 1.0;
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
-  double cache_hit_rate = 0.0;
   double view_hit_rate = 0.0;
 };
 
@@ -125,11 +124,11 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   double base_qps = 0.0;
   std::printf("\n  %8s %10s %12s %9s %10s %10s %9s\n", "threads", "secs",
-              "queries/s", "speedup", "p50(ns)", "p99(ns)", "cache");
+              "queries/s", "speedup", "p50(ns)", "p99(ns)", "plans");
   for (const unsigned t : thread_counts) {
     QueryService svc(snapshot, {.threads = t, .chunk = 1024});
 
-    // Warm-up pass (first touch of shard pages + caches), then the
+    // Warm-up pass (first touch of shard pages and CRCs), then the
     // measured pass over the full stream in kBatch slices.
     {
       std::vector<QueryRequest> warm(
@@ -161,11 +160,6 @@ int main(int argc, char** argv) {
     const ServiceStats stats = svc.stats();
     pt.p50_ns = stats.latency_quantile_ns(0.50);
     pt.p99_ns = stats.latency_quantile_ns(0.99);
-    pt.cache_hit_rate =
-        stats.cache_hits + stats.cache_misses == 0
-            ? 0.0
-            : static_cast<double>(stats.cache_hits) /
-                  static_cast<double>(stats.cache_hits + stats.cache_misses);
     pt.view_hit_rate =
         stats.queries == 0 ? 0.0
                            : static_cast<double>(stats.view_hits) /
@@ -174,7 +168,7 @@ int main(int argc, char** argv) {
     std::printf("  %8u %10.2f %12.0f %8.2fx %10" PRIu64 " %10" PRIu64
                 " %8.1f%%\n",
                 pt.threads, pt.seconds, pt.qps, pt.speedup, pt.p50_ns,
-                pt.p99_ns, 100.0 * pt.cache_hit_rate);
+                pt.p99_ns, 100.0 * pt.view_hit_rate);
     (void)positives;
   }
 
@@ -265,10 +259,9 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "%s{\"threads\":%u,\"seconds\":%.3f,\"qps\":%.0f,"
                    "\"speedup\":%.3f,\"p50_ns\":%" PRIu64 ",\"p99_ns\":%" PRIu64
-                   ",\"cache_hit_rate\":%.3f,\"view_hit_rate\":%.3f}",
+                   ",\"view_hit_rate\":%.3f}",
                    i == 0 ? "" : ",", pt.threads, pt.seconds, pt.qps,
-                   pt.speedup, pt.p50_ns, pt.p99_ns, pt.cache_hit_rate,
-                   pt.view_hit_rate);
+                   pt.speedup, pt.p50_ns, pt.p99_ns, pt.view_hit_rate);
     }
     std::fprintf(f,
                  "],\"overload\":{\"workers\":%u,\"queue_cap\":2,"

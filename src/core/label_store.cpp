@@ -62,21 +62,20 @@ void pack_labels(const Labeling& labeling, BitWriter& packed) {
 
 }  // namespace
 
-// Canonicalizing through a reader loop makes the sum independent of any
-// stale bits past size_bits in the source buffer.
+// The sum is over the canonical words, so it is independent of any stale
+// bits past size_bits in the source buffer: a label's storage starts at
+// bit 0 and holds words_for_bits(size_bits) words, so the canonical words
+// are its own with the bits past size_bits cleared in the last one.
 std::uint8_t label_spot_checksum(const Label& l) {
-  BitWriter canon;
-  BitReader r = l.reader();
-  std::size_t remaining = l.size_bits();
-  while (remaining > 0) {
-    const int chunk = static_cast<int>(std::min<std::size_t>(64, remaining));
-    canon.write_bits(r.read_bits(chunk), chunk);
-    remaining -= static_cast<std::size_t>(chunk);
-  }
   const std::uint64_t bits = l.size_bits();
+  const std::size_t full = static_cast<std::size_t>(bits / 64);
   std::uint32_t crc = crc32c(&bits, sizeof(bits));
-  crc = crc32c(canon.words().data(),
-               canon.words().size() * sizeof(std::uint64_t), crc);
+  crc = crc32c(l.words().data(), full * sizeof(std::uint64_t), crc);
+  if (bits % 64 != 0) {
+    const std::uint64_t tail =
+        l.words()[full] & ((std::uint64_t{1} << (bits % 64)) - 1);
+    crc = crc32c(&tail, sizeof(tail), crc);
+  }
   return static_cast<std::uint8_t>(crc ^ (crc >> 8) ^ (crc >> 16) ^
                                    (crc >> 24));
 }

@@ -33,8 +33,10 @@
 // into kLenient accept possibly-wrong answers in exchange for
 // availability (the documented decode contract makes that safe).
 //
-// Thread-safety contract (the query service serves shared snapshots from
-// this class): a LabelStore is deeply immutable after parse() returns.
+// Thread-safety contract: a LabelStore is deeply immutable after parse()
+// returns. (The query service reads v1/v2 files through this class and
+// converts them to an in-memory v3 image; plgtool lquery serves from it
+// directly.)
 // Every const member — get(), size(), size_bits(), verify_label(),
 // load_all(), version() — reads only the three private vectors, which are
 // never written again; there are no mutable members, no lazy caches, and
@@ -117,13 +119,6 @@ class LabelStore {
   /// words are immutable after parse (same contract as get()).
   const std::uint64_t* bits_data() const noexcept { return bits_.data(); }
   std::uint64_t bit_offset(std::size_t i) const { return offsets_[i]; }
-
-  /// The full cumulative offset table (n+1 entries), for plan builders
-  /// that walk a whole store (store/plan_builder.h). Same lifetime and
-  /// immutability contract as bits_data().
-  const std::uint64_t* offsets_data() const noexcept {
-    return offsets_.data();
-  }
 
   /// Spot-check: re-derives label i's checksum and compares it against the
   /// stored per-label sum. Always true for v1 stores (no sums persisted).

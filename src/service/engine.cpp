@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <latch>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -17,12 +18,29 @@ namespace plg::service {
 
 namespace {
 
-constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
                          std::chrono::steady_clock::time_point t1) noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+/// Cold path: the endpoint a DecodeError came from, i.e. the first one
+/// whose label fails on its own: its shard fails its CRC, its bits fail
+/// their spot checksum, or (adjacency) it has no decode plan. Empty when
+/// both labels read cleanly and only the pair decode threw; no shard is
+/// blamed then, so a healthy shard is never demoted for its partner.
+std::optional<std::uint64_t> failed_endpoint(const Snapshot& snap,
+                                             const QueryRequest& q,
+                                             QueryKind kind) {
+  for (const std::uint64_t x : {q.u, q.v}) {
+    try {
+      if (!snap.verify_label(x)) return x;
+      if (kind == QueryKind::kAdjacency && snap.view(x) == nullptr) return x;
+    } catch (const DecodeError&) {
+      return x;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -32,52 +50,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
 /// this needs synchronization — the pool's per-worker queues are the
 /// isolation mechanism.
 struct QueryService::WorkerState {
-  struct Slot {
-    std::uint64_t key = kNoKey;  ///< vertex id, kNoKey when empty
-    std::uint64_t snap_id = 0;   ///< identity of the owning snapshot
-    Label label;
-  };
-  std::vector<Slot> cache;  ///< direct-mapped; empty = caching disabled
-  Label scratch_a;          ///< uncached decode target for endpoint u
-  Label scratch_b;          ///< uncached decode target for endpoint v
   std::vector<std::uint32_t> order;  ///< reusable chunk permutation buffer
-
-  /// Materializes label v through the direct-mapped cache. Entries are
-  /// tagged with the snapshot's process-unique id, so a hot swap
-  /// invalidates lazily (stale tags simply miss) with no cross-thread
-  /// bookkeeping. Fat-vertex labels dominate decode cost (their k-bit
-  /// rows are the largest labels in the store) and repeat across
-  /// queries, which is what makes this cache pay for itself.
-  // plglint: noexcept-hot-path
-  const Label& fetch_label(const Snapshot& snap, std::uint64_t v,
-                           bool spot_check, WorkerMetrics& m,
-                           Label& scratch) {
-    if (!cache.empty()) {
-      Slot& slot = cache[v % cache.size()];
-      if (slot.key == v && slot.snap_id == snap.id()) {
-        m.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return slot.label;
-      }
-      m.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      if (spot_check && !snap.verify_label(v)) {
-        // plglint-disable(hot-path-throw): DecodeError is the in-band
-        // corruption contract; run_chunk catches it and answers kCorrupt.
-        throw DecodeError("service: label fails spot checksum");
-      }
-      slot.label = snap.get(v);
-      slot.key = v;
-      slot.snap_id = snap.id();
-      return slot.label;
-    }
-    m.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (spot_check && !snap.verify_label(v)) {
-      // plglint-disable(hot-path-throw): DecodeError is the in-band
-      // corruption contract; run_chunk catches it and answers kCorrupt.
-      throw DecodeError("service: label fails spot checksum");
-    }
-    scratch = snap.get(v);
-    return scratch;
-  }
 };
 
 QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
@@ -91,18 +64,14 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
   if (opt_.chunk == 0) opt_.chunk = 1;
   states_.reserve(pool_.size());
   for (unsigned i = 0; i < pool_.size(); ++i) {
-    auto ws = std::make_unique<WorkerState>();
-    ws->cache.resize(opt_.cache_entries);
-    states_.push_back(std::move(ws));
+    states_.push_back(std::make_unique<WorkerState>());
   }
   if (opt_.heal) {
     // Poke once before the thread exists: the initial snapshot may have
-    // been admitted with quarantined shards (lenient chaos load), and
-    // the healer should pick those up without waiting for a corruption.
-    {
-      util::MutexLock lock(heal_mu_);
-      heal_poke_ = true;
-    }
+    // been admitted with quarantined shards (a structurally bad v3
+    // shard), and the healer should pick those up without waiting for a
+    // corruption.
+    poke_healer();
     healer_ = std::thread([this] { healer_main(); });
   }
 }
@@ -190,44 +159,34 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
     } else {
       try {
         // Fast path: answer straight from the snapshot's decode plans —
-        // no label materialization, no cache traffic, branch-free word
-        // extraction. Falls through to the BitReader path whenever either
-        // endpoint lacks a plan (quarantine-adjacent states, or plan
-        // construction failed at admission); behavioral equivalence with
-        // thin_fat_adjacent — answers and DecodeErrors both — is the
-        // LabelView contract, differentially fuzzed in
-        // tests/test_label_view.cpp.
+        // no label materialization, branch-free word extraction. Falls
+        // through to the BitReader path whenever either endpoint lacks a
+        // plan (its shard failed its CRC, or plan construction failed at
+        // admission); behavioral equivalence with thin_fat_adjacent —
+        // answers and DecodeErrors both — is the LabelView contract,
+        // differentially fuzzed in tests/test_label_view.cpp.
         const LabelView* va = nullptr;
         const LabelView* vb = nullptr;
+        if (opt_.spot_check &&
+            (!snap.verify_label(q.u) || !snap.verify_label(q.v))) {
+          // plglint-disable(hot-path-throw): DecodeError is the in-band
+          // corruption contract; the catch below answers kCorrupt.
+          throw DecodeError("service: label fails spot checksum");
+        }
         if (opt_.kind == QueryKind::kAdjacency &&
             (va = snap.view(q.u)) != nullptr &&
             (vb = snap.view(q.v)) != nullptr) {
-          if (opt_.spot_check &&
-              (!snap.verify_label(q.u) || !snap.verify_label(q.v))) {
-            // plglint-disable(hot-path-throw): DecodeError is the in-band
-            // corruption contract; the catch below answers kCorrupt.
-            throw DecodeError("service: label fails spot checksum");
-          }
           r.adjacent = label_view_adjacent(*va, *vb);
           if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
           m.view_hits.fetch_add(1, std::memory_order_relaxed);
         } else {
-          const Label* la =
-              &ws.fetch_label(snap, q.u, opt_.spot_check, m, ws.scratch_a);
-          if (!ws.cache.empty() && q.u != q.v &&
-              q.u % ws.cache.size() == q.v % ws.cache.size()) {
-            // Both endpoints map to one cache slot: fetching v would
-            // overwrite the storage la refers to. Detach u's label first.
-            ws.scratch_a = *la;
-            la = &ws.scratch_a;
-          }
-          const Label& lb =
-              ws.fetch_label(snap, q.v, opt_.spot_check, m, ws.scratch_b);
+          const Label la = snap.get(q.u);
+          const Label lb = snap.get(q.v);
           if (opt_.kind == QueryKind::kAdjacency) {
-            r.adjacent = thin_fat_adjacent(*la, lb);
+            r.adjacent = thin_fat_adjacent(la, lb);
             if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
           } else {
-            const auto d = DistanceScheme::distance(*la, lb);
+            const auto d = DistanceScheme::distance(la, lb);
             r.distance = d ? static_cast<std::int64_t>(*d) : -1;
             if (d) m.positive.fetch_add(1, std::memory_order_relaxed);
           }
@@ -235,10 +194,12 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
       } catch (const DecodeError&) {
         // Corruption fallback: the query reports kCorrupt instead of the
         // exception escaping onto the worker thread. Serving continues,
-        // and the shard tally may demote the shard to quarantine.
+        // and the failing endpoint's shard may be quarantined.
         r.status = QueryStatus::kCorrupt;
         m.corruptions.fetch_add(1, std::memory_order_relaxed);
-        note_shard_corruption(snap, q.u);
+        if (const auto x = failed_endpoint(snap, q, opt_.kind)) {
+          note_shard_corruption(snap, *x);
+        }
       }
     }
     results[i] = r;
@@ -305,8 +266,12 @@ QueryResult QueryService::query(const QueryRequest& req) {
 void QueryService::reload(std::shared_ptr<const Snapshot> next) {
   if (!next) throw std::invalid_argument("QueryService::reload: null snapshot");
   store_.swap(std::move(next));
-  // The replacement may itself carry quarantined shards (a chaos reload
-  // or a lenient load); wake the healer to look.
+  // The replacement may itself carry quarantined shards (a structurally
+  // bad v3 shard); wake the healer to look.
+  poke_healer();
+}
+
+void QueryService::poke_healer() {
   {
     util::MutexLock lock(heal_mu_);
     heal_poke_ = true;
@@ -318,8 +283,14 @@ void QueryService::drain() { pool_.drain(); }
 
 void QueryService::note_shard_corruption(const Snapshot& snap,
                                          std::uint64_t v) {
-  if (opt_.quarantine_after == 0) return;
   const std::size_t s = snap.shard_map().shard_of(v);
+  if (snap.shard_quarantined(s)) {
+    // The shard just failed its first-touch CRC, which quarantines it
+    // without any tally.
+    poke_healer();
+    return;
+  }
+  if (opt_.quarantine_after == 0) return;
   bool demote = false;
   {
     util::MutexLock lock(heal_mu_);
@@ -334,17 +305,12 @@ void QueryService::note_shard_corruption(const Snapshot& snap,
     if (++shard_corruptions_[s] == opt_.quarantine_after) demote = true;
   }
   if (!demote) return;
-  // Build the demoted snapshot outside heal_mu_ — it decodes a shard's
-  // worth of labels. swap_if: if an operator RELOAD replaced `snap`
-  // meanwhile, its corruption history is moot and the demotion is
-  // dropped rather than clobbering the fresh snapshot.
+  // Build the demoted snapshot outside heal_mu_. swap_if: if an operator
+  // RELOAD replaced `snap` meanwhile, its corruption history is moot and
+  // the demotion is dropped rather than clobbering the fresh snapshot.
   auto next = snap.with_quarantined_shard(
       s, "query-time corruption reached quarantine threshold");
-  if (store_.swap_if(&snap, std::move(next))) {
-    util::MutexLock lock(heal_mu_);
-    heal_poke_ = true;
-  }
-  heal_cv_.notify_all();
+  if (store_.swap_if(&snap, std::move(next))) poke_healer();
 }
 
 bool QueryService::heal_once(std::uint64_t attempt) {
@@ -356,8 +322,12 @@ bool QueryService::heal_once(std::uint64_t attempt) {
     try {
       std::shared_ptr<const Snapshot> healed = snap->heal_shard(s);
       if (store_.swap_if(snap.get(), healed)) {
-        metrics_.shared().heal_successes.fetch_add(1,
-                                                   std::memory_order_relaxed);
+        // A successor that still quarantines s found the backing itself
+        // corrupt: s is now unhealable, which is not a success.
+        if (!healed->shard_quarantined(s)) {
+          metrics_.shared().heal_successes.fetch_add(
+              1, std::memory_order_relaxed);
+        }
         // Keep healing the successor: remaining quarantined shards were
         // carried over by pointer.
         snap = std::move(healed);
@@ -367,7 +337,8 @@ bool QueryService::heal_once(std::uint64_t attempt) {
         return false;
       }
     } catch (const DecodeError&) {
-      // Re-admission failed (e.g. the fault plan is still firing).
+      // The fresh image failed its CRC (e.g. the fault plan is still
+      // firing).
       all_clear = false;
     }
   }

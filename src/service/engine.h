@@ -14,19 +14,21 @@
 // subsequent batches — callers never observe a half-swapped view.
 //
 // Failure model: queries never throw and callers never block
-// indefinitely. An out-of-range id yields kOutOfRange; a label that
-// fails its spot checksum or whose decode throws DecodeError yields
-// kCorrupt and bumps the corruption-fallback counter. Under overload
+// indefinitely. An out-of-range id yields kOutOfRange; a label whose
+// shard fails its first-touch CRC, that fails its spot checksum, or whose
+// decode throws DecodeError yields kCorrupt and bumps the
+// corruption-fallback counter. Under overload
 // (bounded queues full) chunks are load-shed and their queries answer
 // kOverloaded — the batch still completes, because the pool guarantees a
 // shed chunk's fallback runs (and counts the latch down) in place of the
 // chunk itself. A batch past its deadline cancels cooperatively: workers
 // check the shared cancellation flag between queries, and everything
 // unanswered returns kDeadlineExceeded. Queries routed to a quarantined
-// shard answer kCorrupt in-band; repeated query-time corruption in one
-// shard (ServiceOptions::quarantine_after) demotes the shard, and a
-// background healer re-admits quarantined shards through the strict CRC
-// gate with capped exponential backoff (jitter from stream_rng, so heal
+// shard answer kCorrupt in-band. A shard is quarantined as soon as it
+// fails its first-touch CRC; repeated decode failures in a CRC-valid
+// shard (ServiceOptions::quarantine_after) demote it too. Either way a
+// background healer re-admits the shard from its backing (file or memfd)
+// with capped exponential backoff (jitter from stream_rng, so heal
 // schedules are reproducible under a fixed seed). The service keeps
 // serving through all of it.
 #pragma once
@@ -79,7 +81,6 @@ struct QueryResult {
 struct ServiceOptions {
   unsigned threads = 0;          ///< worker count; 0 = hardware concurrency
   std::size_t chunk = 256;       ///< queries per dispatched task
-  std::size_t cache_entries = 1024;  ///< per-worker decoded-label cache; 0 off
   bool spot_check = false;       ///< verify per-label checksum before decode
   QueryKind kind = QueryKind::kAdjacency;
 
@@ -88,9 +89,10 @@ struct ServiceOptions {
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
 
   // --- quarantine & self-healing ---
-  /// Demote a shard to quarantine after this many query-time corruption
-  /// fallbacks against it on one snapshot. 0 disables demotion (storage
-  /// corruption then stays a per-query kCorrupt, the PR 1 behavior).
+  /// Demote a shard to quarantine after this many decode failures
+  /// against it on one snapshot. 0 disables demotion (decode failures in
+  /// CRC-valid bits then stay a per-query kCorrupt). A shard failing its
+  /// CRC is quarantined at once, whatever this says.
   std::uint32_t quarantine_after = 0;
   /// Run the background healer thread (re-admits quarantined shards).
   bool heal = true;
@@ -159,11 +161,12 @@ class QueryService final : public BatchHandler {
     return query_batch(batch, BatchOptions{});
   }
 
-  /// Single-query convenience (a batch of one, bypassing the pool).
+  /// Single-query convenience: a batch of one, run on the pool like any
+  /// batch.
   QueryResult query(const QueryRequest& req);
 
   /// Atomically installs a new snapshot; in-flight batches finish on the
-  /// old one. Worker caches self-invalidate via snapshot identity tags.
+  /// old one. Corruption tallies restart with the new snapshot's id.
   void reload(std::shared_ptr<const Snapshot> next);
 
   /// Blocks until every worker queue is empty and every worker idle.
@@ -196,13 +199,18 @@ class QueryService final : public BatchHandler {
                  const QueryRequest* reqs, QueryResult* results,
                  std::size_t count);
 
-  /// Cold path: records a query-time corruption against v's shard and,
-  /// past the quarantine_after threshold, demotes the shard and wakes
-  /// the healer. Deliberately NOT on the noexcept-hot-path — it takes
-  /// heal_mu_ and may build a snapshot — run_chunk calls it at most once
-  /// per corrupt query, which is already the slow lane.
+  /// Cold path: records a query-time corruption against v's shard. A
+  /// shard that failed its CRC is already quarantined, so this only
+  /// wakes the healer; otherwise, past the quarantine_after threshold, it
+  /// demotes the shard and wakes the healer. Deliberately NOT on the
+  /// noexcept-hot-path — it takes heal_mu_ and may build a snapshot —
+  /// run_chunk calls it at most once per corrupt query, which is already
+  /// the slow lane.
   void note_shard_corruption(const Snapshot& snap, std::uint64_t v)
       PLG_EXCLUDES(heal_mu_);
+
+  /// Wakes the healer to look at the current snapshot.
+  void poke_healer() PLG_EXCLUDES(heal_mu_);
 
   /// Healer thread body: waits for quarantine work, re-admits shards
   /// with capped exponential backoff + deterministic jitter.

@@ -83,8 +83,6 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> batches{0};        ///< chunks executed
   std::atomic<std::uint64_t> positive{0};       ///< adjacent / within-f
   std::atomic<std::uint64_t> view_hits{0};      ///< answered via decode plan
-  std::atomic<std::uint64_t> cache_hits{0};     ///< decoded-label cache
-  std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> corruptions{0};    ///< spot-check failures
   std::atomic<std::uint64_t> range_errors{0};   ///< id out of snapshot
   std::atomic<std::uint64_t> deadline_exceeded{0};  ///< queries cancelled
@@ -136,8 +134,6 @@ struct ServiceStats {
   std::uint64_t batches = 0;
   std::uint64_t positive = 0;
   std::uint64_t view_hits = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t corruptions = 0;
   std::uint64_t range_errors = 0;
   std::uint64_t shed_chunks = 0;

@@ -56,8 +56,9 @@ namespace plg::service {
 struct ServeOptions {
   std::size_t num_shards = 16;               ///< shard count for RELOAD
   StoreVerify verify = StoreVerify::kStrict;  ///< RELOAD parse mode
-  /// RELOAD admits shards that fail the strict re-parse as quarantined
-  /// (self-healing) instead of rejecting the whole file.
+  /// RELOAD admits v3 shards whose offsets table fails admission's
+  /// structural check as quarantined (self-healing) instead of rejecting
+  /// the whole file.
   bool quarantine = true;
   /// Longest accepted input line, in bytes (command + arguments).
   std::size_t max_line = 4096;

@@ -6,6 +6,7 @@
 
 #include "service/thread_pool.h"
 #include "store/plan_builder.h"
+#include "store/store_writer.h"
 #include "util/errors.h"
 #include "util/fault_injection.h"
 
@@ -58,76 +59,23 @@ void for_each_shard(std::size_t count, unsigned workers,
 Snapshot::Snapshot()
     : id_(next_snapshot_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-Snapshot::Shard Snapshot::admit(std::vector<Label> labels,
-                                bool allow_quarantine) {
-  // Round-trips the labels through the checksummed v2 codec. The strict
-  // re-parse is the admission check: a shard is either CRC-clean or this
-  // throws / quarantines. The Labeling stays alive past the parse so a
-  // failed admission can keep its labels as the heal source.
-  Labeling part(std::move(labels));
-  auto blob = LabelStore::serialize(part);
-  Shard shard;
-  shard.bytes = blob.size();
-  // Chaos injection point: the plan may flip one bit of the fresh blob
-  // here, between serialize and the strict re-parse, modeling memory or
-  // bus corruption during a reload.
-  fault::on_shard_admission(blob);
-  try {
-    shard.store = std::make_shared<const LabelStore>(
-        LabelStore::parse(std::move(blob), StoreVerify::kStrict));
-    // Admission is also where decode plans are built: one header parse
-    // per label, amortized over every query the snapshot will ever
-    // serve (store/plan_builder.h — the same materialization stage the
-    // mmap path runs per shard).
-    shard.views = std::make_shared<const std::vector<LabelView>>(
-        store::build_plans(shard.store->bits_data(),
-                           shard.store->offsets_data(),
-                           shard.store->size()));
-  } catch (const DecodeError& e) {
-    if (!allow_quarantine) throw;
-    shard.store = nullptr;
-    shard.views = nullptr;
-    shard.bytes = 0;
-    shard.error = e.what();
-    shard.heal_labels =
-        std::make_shared<const std::vector<Label>>(part.labels());
-  }
-  return shard;
-}
-
 std::shared_ptr<Snapshot> Snapshot::clone_shards() const {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->map_ = map_;
   snap->shards_ = shards_;  // shared_ptr copies; no label data moves
-  snap->total_bytes_ = total_bytes_;
   return snap;
-}
-
-void Snapshot::recompute_total_bytes() noexcept {
-  total_bytes_ = 0;
-  for (const Shard& sh : shards_) total_bytes_ += sh.bytes;
 }
 
 std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
                                                 std::size_t num_shards,
-                                                bool allow_quarantine,
                                                 unsigned build_workers) {
-  auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->map_ = ShardMap(labeling.size(), num_shards);
-  snap->shards_.resize(snap->map_.num_shards());
-  for_each_shard(
-      snap->map_.num_shards(), build_workers, [&](std::size_t s) {
-        std::vector<Label> part;
-        const std::uint64_t begin = snap->map_.shard_begin(s);
-        const std::uint64_t end = snap->map_.shard_end(s);
-        part.reserve(static_cast<std::size_t>(end - begin));
-        for (std::uint64_t v = begin; v < end; ++v) {
-          part.push_back(labeling[static_cast<Vertex>(v)]);
-        }
-        snap->shards_[s] = admit(std::move(part), allow_quarantine);
-      });
-  snap->recompute_total_bytes();
-  return snap;
+  // The serialized buffer dies once the memfd holds it, before plans are
+  // built. A freshly written image is structurally valid by
+  // construction, so admission has nothing to quarantine.
+  auto image = store::MappedStore::from_image(
+      store::StoreWriter::serialize(labeling, num_shards));
+  return from_image(std::move(image), /*allow_quarantine=*/false,
+                    build_workers);
 }
 
 std::shared_ptr<const Snapshot> Snapshot::from_file(const std::string& path,
@@ -135,87 +83,103 @@ std::shared_ptr<const Snapshot> Snapshot::from_file(const std::string& path,
                                                     StoreVerify verify,
                                                     bool allow_quarantine,
                                                     unsigned build_workers) {
-  // A v3 file serves from the mapping; `verify` has no strict/lenient
-  // split there (integrity is always enforced, lazily per shard).
   if (store::MappedStore::sniff_file_version(path) == store::kVersion3) {
-    return from_mapped(path, allow_quarantine, build_workers);
+    // Header/directory failures always throw (an unreadable source is
+    // never quarantined).
+    return from_image(store::MappedStore::open(path), allow_quarantine,
+                      build_workers);
   }
-  const LabelStore whole = LabelStore::open_file(path, verify);
+  // v1/v2: convert on load, the same conversion `plgtool pack` does. The
+  // parsed store is released before the image is written.
+  const Labeling labels = LabelStore::open_file(path, verify).load_all();
+  return build(labels, num_shards, build_workers);
+}
+
+std::shared_ptr<const Snapshot> Snapshot::from_image(
+    std::shared_ptr<const store::MappedStore> image, bool allow_quarantine,
+    unsigned build_workers) {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->map_ = ShardMap(whole.size(), num_shards);
-  snap->shards_.resize(snap->map_.num_shards());
-  for_each_shard(
-      snap->map_.num_shards(), build_workers, [&](std::size_t s) {
-        std::vector<Label> part;
-        const std::uint64_t begin = snap->map_.shard_begin(s);
-        const std::uint64_t end = snap->map_.shard_end(s);
-        part.reserve(static_cast<std::size_t>(end - begin));
-        for (std::uint64_t v = begin; v < end; ++v) {
-          part.push_back(whole.get(static_cast<std::size_t>(v)));
-        }
-        snap->shards_[s] = admit(std::move(part), allow_quarantine);
-      });
-  snap->recompute_total_bytes();
+  snap->map_ = image->shard_map();
+  snap->shards_.resize(image->num_shards());
+  for_each_shard(image->num_shards(), build_workers, [&](std::size_t s) {
+    snap->shards_[s] = plan_shard(image, s, allow_quarantine);
+  });
   return snap;
 }
 
-std::shared_ptr<const Snapshot> Snapshot::from_mapped(const std::string& path,
-                                                      bool allow_quarantine,
-                                                      unsigned build_workers) {
-  // Header/directory failures always throw (an unreadable source is
-  // never quarantined, matching the heap path's file-parse contract).
-  const std::shared_ptr<const store::MappedStore> mapped =
-      store::MappedStore::open(path);
-  auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->map_ = ShardMap(mapped->num_labels(), mapped->num_shards());
-  snap->shards_.resize(mapped->num_shards());
-  for_each_shard(
-      mapped->num_shards(), build_workers, [&](std::size_t s) {
-        Shard sh;
-        try {
-          // Structural gate first: with the offset table proven, plan
-          // building (and any later BitReader walk) stays inside the
-          // mapping even though the shard's CRC has not been checked yet.
-          store::validate_offsets(
-              mapped->shard_offsets(s),
-              static_cast<std::size_t>(mapped->shard_labels(s)),
-              mapped->shard_total_bits(s));
-          sh.views = std::make_shared<const std::vector<LabelView>>(
-              store::build_plans(
-                  mapped->shard_bits(s), mapped->shard_offsets(s),
-                  static_cast<std::size_t>(mapped->shard_labels(s))));
-          sh.mapped = mapped;
-          sh.mapped_index = s;
-          sh.bytes = mapped->shard_bytes(s);
-        } catch (const DecodeError& e) {
-          if (!allow_quarantine) throw;
-          sh = Shard();
-          sh.error = e.what();
-          // A structurally bad offsets table usually means the region
-          // rotted wholesale; the disk re-read (CRC-gated) decides
-          // whether a heal source exists at all.
-          try {
-            sh.heal_labels = std::make_shared<const std::vector<Label>>(
-                mapped->read_shard_labels(s));
-          } catch (const DecodeError&) {
-            sh.heal_labels = nullptr;
-          }
-        }
-        snap->shards_[s] = std::move(sh);
-      });
-  snap->recompute_total_bytes();
-  return snap;
+Snapshot::Shard Snapshot::plan_shard(
+    std::shared_ptr<const store::MappedStore> image, std::size_t s,
+    bool allow_quarantine) {
+  Shard sh;
+  try {
+    // Structural gate first: with the offset table proven, plan building
+    // (and any later BitReader walk) stays inside the mapping even though
+    // the shard's CRC has not been checked yet. Plans are built once per
+    // label and amortized over every query the snapshot serves.
+    store::validate_offsets(image->shard_offsets(s),
+                            static_cast<std::size_t>(image->shard_labels(s)),
+                            image->shard_total_bits(s));
+    sh.views = std::make_shared<const std::vector<LabelView>>(
+        store::build_plans(image->shard_bits(s), image->shard_offsets(s),
+                           static_cast<std::size_t>(image->shard_labels(s))));
+  } catch (const DecodeError& e) {
+    if (!allow_quarantine) throw;
+    // A structurally bad offsets table usually means the region rotted
+    // wholesale; a heal's CRC-gated re-read of the backing decides
+    // whether the shard can come back.
+    sh.error = e.what();
+  }
+  sh.image = std::move(image);
+  sh.index = s;
+  return sh;
+}
+
+std::size_t Snapshot::num_quarantined() const noexcept {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    n += shard_quarantined(s) ? 1u : 0u;
+  }
+  return n;
+}
+
+std::string Snapshot::shard_error(std::size_t s) const {
+  if (shards_[s].error.empty() && shard_quarantined(s)) {
+    return "shard failed its first-touch CRC check";
+  }
+  return shards_[s].error;
+}
+
+std::uint64_t Snapshot::total_bytes() const noexcept {
+  std::uint64_t n = 0;
+  for (const Shard& sh : shards_) {
+    if (sh.views != nullptr) n += sh.image->shard_bytes(sh.index);
+  }
+  return n;
 }
 
 std::shared_ptr<const Snapshot> Snapshot::heal_shard(std::size_t s) const {
   auto snap = clone_shards();
-  // Copy the heal source: a failed re-admission must leave the original
-  // snapshot's heal_labels intact for the next attempt. The healed shard
-  // is always heap-backed, even in an otherwise mmap'd snapshot — its
-  // mapped bytes are what went bad.
-  std::vector<Label> labels(*shards_[s].heal_labels);
-  snap->shards_[s] = admit(std::move(labels), /*allow_quarantine=*/false);
-  snap->recompute_total_bytes();
+  Shard& sh = snap->shards_[s];
+  std::vector<Label> labels;
+  try {
+    labels = sh.image->read_shard_labels(sh.index);
+  } catch (const DecodeError& e) {
+    // The backing itself is bad: nothing clean is left to heal from, so
+    // the shard stays quarantined and the healer stops retrying it.
+    sh.views = nullptr;
+    sh.error = e.what();
+    sh.healable = false;
+    return snap;
+  }
+  const auto image = store::MappedStore::from_image(
+      store::StoreWriter::serialize(Labeling(std::move(labels)), 1));
+  sh = plan_shard(image, 0, /*allow_quarantine=*/false);
+  // Settle the fresh image's CRC now, so a heal whose image is already
+  // damaged fails and is retried instead of being published as healthy.
+  if (!image->shard_intact(0)) {
+    throw DecodeError("Snapshot: shard " + std::to_string(s) +
+                      " failed its CRC again after heal");
+  }
   return snap;
 }
 
@@ -223,35 +187,8 @@ std::shared_ptr<const Snapshot> Snapshot::with_quarantined_shard(
     std::size_t s, std::string reason) const {
   auto snap = clone_shards();
   Shard& sh = snap->shards_[s];
-  if (sh.healthy()) {
-    // Extract a heal source from the shard being demoted. A mapped
-    // shard re-reads its bytes from the FILE (not the suspect mapping),
-    // CRC-gated — memory-side rot of a clean file heals; on-disk rot
-    // makes the shard unhealable. A heap shard decodes from its store's
-    // bits; any label that no longer decodes makes the shard unhealable
-    // rather than propagating the throw.
-    try {
-      std::vector<Label> labels;
-      if (sh.mapped != nullptr) {
-        labels = sh.mapped->read_shard_labels(sh.mapped_index);
-      } else {
-        labels.reserve(sh.store->size());
-        for (std::size_t i = 0; i < sh.store->size(); ++i) {
-          labels.push_back(sh.store->get(i));
-        }
-      }
-      sh.heal_labels =
-          std::make_shared<const std::vector<Label>>(std::move(labels));
-    } catch (const DecodeError&) {
-      sh.heal_labels = nullptr;
-    }
-    sh.store = nullptr;
-    sh.mapped = nullptr;
-    sh.views = nullptr;
-    sh.bytes = 0;
-  }
+  sh.views = nullptr;
   sh.error = std::move(reason);
-  snap->recompute_total_bytes();
   return snap;
 }
 

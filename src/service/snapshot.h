@@ -1,22 +1,24 @@
-// Snapshot: an immutable, sharded, integrity-verified label set, plus the
+// Snapshot: an immutable, sharded, integrity-checked label set, plus the
 // holder that lets the service hot-swap it under live traffic.
 //
 // Lifecycle protocol (the heart of non-blocking serving):
 //
-//   1. A Snapshot is built OFF the serving path — from a Labeling or a
-//      .plgl file — sharded by vertex id via ShardMap. A heap-backed
-//      shard (in-memory build, v1/v2 files) is a LabelStore that has
-//      passed a full strict (CRC) parse, so admission to serving memory
-//      implies integrity. A v3 file instead mmap's in (store::MappedStore)
-//      and shards alias the mapping: admission validates only the header
-//      + shard directory and builds decode plans, deferring each shard's
-//      CRC to its first query — integrity is still enforced before any
-//      answer, just lazily, and a first-touch mismatch demotes the shard
-//      into the ordinary quarantine + self-heal pipeline below.
-//   2. Once constructed a Snapshot is never mutated. All accessors are
-//      const and touch only immutable state; any number of threads may
-//      read one concurrently without synchronization.
-//   3. SnapshotStore holds the current snapshot in a shared_ptr guarded
+//   1. A Snapshot is built OFF the serving path, and every snapshot
+//      serves from one representation: a .plgl v3 image behind a
+//      store::MappedStore, whose shards the snapshot's shards alias. A
+//      v3 file is mmap'd as is. An in-memory Labeling (build) and a v1/v2
+//      file (converted on load, as `plgtool pack` does) are serialized by
+//      StoreWriter into a memfd and mapped the same way. Admission
+//      validates each shard's offsets table and builds its decode plans;
+//      it never checks a CRC.
+//   2. Integrity is enforced on first touch instead: the first view() or
+//      get() against a shard runs its CRC once (store/mapped_store.h), and
+//      no answer is ever served from unverified bits. A shard whose
+//      first-touch CRC fails counts as quarantined from then on.
+//   3. Apart from those settle-once CRC verdicts a Snapshot is never
+//      mutated. All accessors are const; any number of threads may read
+//      one concurrently without synchronization.
+//   4. SnapshotStore holds the current snapshot in a shared_ptr guarded
 //      by an annotated util::SharedMutex (PLG_GUARDED_BY below makes the
 //      compiler enforce the discipline). Readers acquire() a copy (a
 //      shared lock held for two pointer copies) and keep using *their*
@@ -31,18 +33,18 @@
 // answers mid-flight: a batch is answered entirely from the snapshot it
 // started on.
 //
-// Quarantine (fault isolation at shard granularity): with
-// allow_quarantine, a shard that fails its strict admission re-parse is
-// admitted in a *quarantined* state — no LabelStore, queries against its
-// vertex range answer kCorrupt in-band — instead of failing the whole
-// build. A quarantined shard retains its pre-serialization labels as the
-// heal source; heal_shard() produces a successor snapshot (healthy
-// shards shared by pointer, no re-encode) in which the shard has been
-// re-admitted through the same strict gate. with_quarantined_shard()
-// goes the other way: it demotes a shard whose bits turned out to be bad
-// at query time. Both return *new* snapshots with new ids — worker
-// caches tag by snapshot id, so healing naturally invalidates any stale
-// decoded labels.
+// Quarantine (fault isolation at shard granularity): queries against a
+// quarantined shard answer kCorrupt in-band. A shard is quarantined when
+// its first-touch CRC failed, when its offsets table failed admission's
+// structural check (from_file with allow_quarantine), or when the engine
+// demoted it with with_quarantined_shard() after repeated decode
+// failures in CRC-valid bits. The heal source is always the shard's
+// backing: heal_shard() re-reads the shard from the file or memfd
+// (CRC-gated, never from the possibly rotten mapping) and admits it as a
+// one-shard image through the same path. A shard whose backing fails
+// that re-read becomes unhealable. Both calls return *new* snapshots
+// with new ids: the engine keys its per-shard corruption tallies by
+// snapshot id, so tallies about retired bits never demote a successor.
 //
 // Why a shared_mutex and not std::atomic<std::shared_ptr>? libstdc++'s
 // _Sp_atomic (GCC 12) releases its internal spinlock in load() with a
@@ -78,35 +80,27 @@ using store::ShardMap;
 
 class Snapshot {
  public:
-  /// Builds a snapshot from an in-memory labeling. Each shard is
-  /// serialized to the checksummed v2 format and re-parsed strictly, so
-  /// the snapshot's bits carry CRC protection end to end. With
-  /// `allow_quarantine`, a shard failing that re-parse is quarantined
-  /// (served kCorrupt, healable) instead of aborting the build; without
-  /// it the failure propagates as CorruptionError.
+  /// Builds a snapshot from an in-memory labeling: StoreWriter serializes
+  /// it into a v3 image of `num_shards` shards, admitted like a v3 file.
   /// `build_workers` caps the admission ThreadPool (0 = hardware
-  /// concurrency). Admission — serialize, strict re-parse, and plan
-  /// materialization — runs one job per shard; with an active fault
-  /// plan it drops to the serial path so the chaos suites' k-th-call
-  /// injection ordinals stay deterministic. Parallel admission is
-  /// bit-identical to serial (per-shard work is independent and pure;
-  /// regression-asserted in tests/test_store.cpp).
+  /// concurrency). Admission — offsets validation and plan
+  /// materialization — runs one job per shard; with an active fault plan
+  /// it drops to the serial path so the chaos suites' k-th-call injection
+  /// ordinals stay deterministic. Parallel admission is bit-identical to
+  /// serial (per-shard work is independent and pure; regression-asserted
+  /// in tests/test_store.cpp).
   static std::shared_ptr<const Snapshot> build(const Labeling& labeling,
                                                std::size_t num_shards,
-                                               bool allow_quarantine = false,
                                                unsigned build_workers = 0);
 
-  /// Loads a .plgl file and shards it. `verify` is forwarded to the file
-  /// parse; shard re-encode is always strict (a lenient *file* load can
-  /// still surface corruption later via per-label spot checks). A file
+  /// Loads a .plgl file. A v3 file is mmap'd, not copied: `num_shards` is
+  /// superseded by the file's own partition and `verify` does not apply
+  /// (each shard's CRC runs on first touch). A v1/v2 file is parsed with
+  /// `verify` and converted on load: build(its labels, num_shards). With
+  /// `allow_quarantine`, a v3 shard whose offsets table fails admission's
+  /// structural check is quarantined instead of failing the load. A file
   /// that fails its own parse always throws — quarantine applies to
-  /// per-shard admission only, never to an unreadable source.
-  /// A v3 file is mmap'd, not copied: shards alias the mapping
-  /// (store::MappedStore), `num_shards` is superseded by the file's own
-  /// partition, and per-shard CRC verification is deferred to first
-  /// touch regardless of `verify` — no answer is ever served from
-  /// unverified bits (view()/get() gate on the lazy CRC), a mismatch
-  /// quarantines the shard at query time instead of failing the load.
+  /// single shards only, never to an unreadable source.
   static std::shared_ptr<const Snapshot> from_file(
       const std::string& path, std::size_t num_shards,
       StoreVerify verify = StoreVerify::kStrict,
@@ -116,67 +110,51 @@ class Snapshot {
   std::uint64_t size() const noexcept { return map_.num_vertices(); }
   std::size_t num_shards() const noexcept { return shards_.size(); }
 
-  /// Materializes the label of vertex v. Thread-safe: LabelStore::get is
-  /// const and reads only immutable words. Precondition: v < size() and
-  /// !vertex_quarantined(v).
-  /// (Mapped shards additionally throw DecodeError when the shard fails
-  /// its first-touch CRC — the engine answers that kCorrupt and demotes
-  /// the shard, exactly like heap-shard rot.)
+  /// Materializes the label of vertex v. Thread-safe. Precondition:
+  /// v < size(). Throws DecodeError when v's shard fails its first-touch
+  /// CRC — the engine answers that kCorrupt.
   Label get(std::uint64_t v) const {
     const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) return sh.mapped->get(sh.mapped_index, i);
-    return sh.store->get(i);
-  }
-
-  /// Size in bits of label v without materializing it. Precondition as
-  /// for get().
-  std::size_t label_bits(std::uint64_t v) const {
-    const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) {
-      return static_cast<std::size_t>(sh.mapped->label_bits(sh.mapped_index, i));
-    }
-    return sh.store->size_bits(i);
+    return sh.image->get(sh.index,
+                         static_cast<std::size_t>(map_.index_in_shard(v)));
   }
 
   /// Zero-copy decode plan for vertex v's label, or nullptr when the
-  /// shard has no plan table (quarantined) or plan construction failed
-  /// for this label at admission (the engine then falls back to the
-  /// materializing get() + thin_fat_adjacent path). The returned view
-  /// aliases the shard's LabelStore bits and is valid for the snapshot's
-  /// lifetime. Precondition: v < size().
-  /// Mapped shards gate on the lazy per-shard CRC here: the first view()
-  /// against a shard pays one CRC pass (once_flag), and a mismatch makes
-  /// every plan in the shard unusable (nullptr), routing queries to the
-  /// materializing fallback whose get() throws — the quarantine trigger.
+  /// shard is demoted (no plan table), fails its CRC, or plan
+  /// construction failed for this label at admission (the engine then
+  /// falls back to the materializing get() + thin_fat_adjacent path,
+  /// whose get() throws for a CRC failure). The returned view aliases the
+  /// image's bits and is valid for the snapshot's lifetime. The first
+  /// view() against a shard pays its one CRC pass. Precondition:
+  /// v < size().
   // plglint: noexcept-hot-path
   const LabelView* view(std::uint64_t v) const noexcept PLG_LIFETIME_BOUND {
     const Shard& sh = shards_[map_.shard_of(v)];
-    if (sh.mapped != nullptr && !sh.mapped->shard_intact(sh.mapped_index)) {
+    const std::vector<LabelView>* views = sh.views.get();
+    if (views == nullptr || !sh.image->shard_intact(sh.index)) {
       return nullptr;
     }
-    const std::vector<LabelView>* views = sh.views.get();
-    if (views == nullptr) return nullptr;
     const LabelView& lv =
         (*views)[static_cast<std::size_t>(map_.index_in_shard(v))];
     return lv.valid() ? &lv : nullptr;
   }
 
-  /// Re-derives v's stored spot checksum. False means the shard's bits
-  /// rotted *after* admission (or the encoder lied); the engine counts
-  /// these as corruption fallbacks. Precondition as for get().
+  /// Re-derives v's stored spot checksum. False means the label's bits
+  /// disagree with the sum written beside them (the encoder lied); the
+  /// engine counts these as corruption fallbacks. Throws like get().
   bool verify_label(std::uint64_t v) const {
     const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) return sh.mapped->verify_label(sh.mapped_index, i);
-    return sh.store->verify_label(i);
+    return sh.image->verify_label(
+        sh.index, static_cast<std::size_t>(map_.index_in_shard(v)));
   }
 
-  /// True when shard s was quarantined (admission failed, or the shard
-  /// was demoted at query time). Queries routed to it answer kCorrupt.
+  /// True when shard s is quarantined: demoted, or failed its
+  /// first-touch CRC. Queries routed to it answer kCorrupt. Reading this
+  /// never triggers a CRC pass.
   bool shard_quarantined(std::size_t s) const noexcept {
-    return !shards_[s].healthy();
+    const Shard& sh = shards_[s];
+    return sh.views == nullptr || sh.image->shard_crc_state(sh.index) ==
+                                      store::ShardCrcState::kCorrupt;
   }
 
   /// True when v's shard is quarantined.
@@ -185,111 +163,84 @@ class Snapshot {
   }
 
   /// Number of quarantined shards (0 on a fully healthy snapshot).
-  std::size_t num_quarantined() const noexcept {
-    std::size_t n = 0;
-    for (const Shard& sh : shards_) n += sh.healthy() ? 0u : 1u;
-    return n;
-  }
+  std::size_t num_quarantined() const noexcept;
 
-  /// True when quarantined shard s retains a heal source (labels kept
-  /// from before serialization / extracted before demotion) and a
-  /// heal_shard() attempt is possible.
+  /// True when quarantined shard s may still heal: no earlier heal found
+  /// its backing corrupt.
   bool shard_healable(std::size_t s) const noexcept {
-    return !shards_[s].healthy() && shards_[s].heal_labels != nullptr;
+    return shard_quarantined(s) && shards_[s].healable;
   }
 
   /// Why shard s is quarantined (empty for healthy shards).
-  const std::string& shard_error(std::size_t s) const noexcept {
-    return shards_[s].error;
-  }
+  std::string shard_error(std::size_t s) const;
 
-  /// Builds a successor snapshot in which quarantined shard s has been
-  /// re-admitted through the strict CRC gate from its retained labels.
-  /// Healthy shards are shared by pointer (no re-encode, no copy); the
-  /// successor gets a fresh id so worker caches self-invalidate.
-  /// Precondition: shard_healable(s). Throws CorruptionError when the
-  /// re-admission fails again (e.g. a fault plan is still firing) — the
-  /// caller backs off and retries.
+  /// Builds a successor snapshot in which shard s serves a fresh
+  /// one-shard image of its labels, re-read from its backing and admitted
+  /// through the same path as any image. Other shards are shared by
+  /// pointer (no re-encode, no copy); the successor gets a fresh id. When
+  /// the backing itself fails the re-read, the successor instead marks s
+  /// unhealable. Throws DecodeError when the fresh image fails its CRC
+  /// (e.g. a fault plan is still firing) — the caller backs off and
+  /// retries.
   std::shared_ptr<const Snapshot> heal_shard(std::size_t s) const;
 
-  /// Builds a successor snapshot in which shard s is quarantined with
-  /// `reason`. The shard's labels are extracted from its current store
-  /// as the heal source where possible (a shard too rotten to decode
-  /// becomes unhealable). Healthy shards are shared by pointer.
+  /// Builds a successor snapshot in which shard s is demoted with
+  /// `reason`. The shard keeps its backing as the heal source. Other
+  /// shards are shared by pointer.
   std::shared_ptr<const Snapshot> with_quarantined_shard(
       std::size_t s, std::string reason) const;
 
-  /// Total serialized bytes across healthy shards (observability).
-  std::uint64_t total_bytes() const noexcept { return total_bytes_; }
+  /// Total serialized bytes across shards that are not demoted
+  /// (observability).
+  std::uint64_t total_bytes() const noexcept;
 
-  /// True when shard s serves straight out of an mmap'd v3 store.
-  bool shard_mapped(std::size_t s) const noexcept {
-    return shards_[s].mapped != nullptr;
-  }
-
-  /// The mapped shard's lazy-CRC verdict without triggering verification
-  /// (kVerified always for heap shards — their CRC gate ran eagerly at
-  /// admission).
+  /// Shard s's lazy-CRC verdict, without triggering verification.
   store::ShardCrcState shard_crc_state(std::size_t s) const noexcept {
-    if (shards_[s].mapped == nullptr) return store::ShardCrcState::kVerified;
-    return shards_[s].mapped->shard_crc_state(shards_[s].mapped_index);
+    return shards_[s].image->shard_crc_state(shards_[s].index);
   }
 
   /// Process-unique identity, assigned at construction from a monotonic
-  /// counter. Worker caches tag entries with this id, so a snapshot
-  /// allocated at a freed predecessor's address can never satisfy a
-  /// stale cache hit (no pointer ABA).
+  /// counter. The engine keys its per-snapshot corruption tallies by it,
+  /// so a snapshot allocated at a freed predecessor's address never
+  /// inherits the predecessor's tallies (no pointer ABA).
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  /// One shard slot with two interchangeable backings: a heap LabelStore
-  /// (v1/v2 admission, and every healed shard) or an aliased slice of an
-  /// mmap'd v3 store. Neither set marks quarantine; heal_labels is the
-  /// (possibly absent) heal source, populated only on quarantine so
-  /// healthy snapshots carry no label copies.
+  /// One shard slot: a shard of a v3 image (the image is shared by every
+  /// shard admitted from it, keeping the mapping alive) plus its decode
+  /// plans.
   struct Shard {
-    std::shared_ptr<const LabelStore> store;
-    /// v3 backing: the whole-file mapping (shared across this snapshot's
-    /// shards, keeping the mmap alive as long as any shard aliases it)
-    /// plus this shard's index in the file's own partition.
-    std::shared_ptr<const store::MappedStore> mapped;
-    std::size_t mapped_index = 0;
+    std::shared_ptr<const store::MappedStore> image;
+    /// This shard's index in the image's own partition.
+    std::size_t index = 0;
     /// Decode plans, one per label, parsed once at admission. Views alias
-    /// the backing's packed bits, so the members share one lifetime (all
-    /// are copied together by clone_shards). Null iff quarantined.
-    /// Labels whose plan construction failed hold an invalid placeholder.
+    /// the image's packed bits. Null iff the shard is demoted. Labels
+    /// whose plan construction failed hold an invalid placeholder.
     std::shared_ptr<const std::vector<LabelView>> views;
-    std::shared_ptr<const std::vector<Label>> heal_labels;
     std::string error;
-    std::uint64_t bytes = 0;
-
-    bool healthy() const noexcept {
-      return store != nullptr || mapped != nullptr;
-    }
+    /// False once a heal found the backing itself corrupt.
+    bool healable = true;
   };
 
   Snapshot();
 
-  /// Serialize + strict re-parse, the single admission gate (and the
-  /// chaos harness's shard-corruption injection point). Throws
-  /// CorruptionError on failure unless allow_quarantine, in which case
-  /// the returned Shard is quarantined with `labels` as heal source.
-  static Shard admit(std::vector<Label> labels, bool allow_quarantine);
+  /// Admits every shard of `image` (one plan-build job per shard; no
+  /// label bytes are copied or CRC'd here).
+  static std::shared_ptr<const Snapshot> from_image(
+      std::shared_ptr<const store::MappedStore> image, bool allow_quarantine,
+      unsigned build_workers);
 
-  /// Zero-copy v3 admission: one plan-build job per shard over the
-  /// shared mapping (no label bytes are copied or CRC'd here).
-  static std::shared_ptr<const Snapshot> from_mapped(const std::string& path,
-                                                     bool allow_quarantine,
-                                                     unsigned build_workers);
+  /// Validates shard s's offsets table and builds its plans. A structural
+  /// failure throws DecodeError, or with allow_quarantine yields a
+  /// demoted shard.
+  static Shard plan_shard(std::shared_ptr<const store::MappedStore> image,
+                          std::size_t s, bool allow_quarantine);
 
   /// Clone sharing every shard slot (shared_ptr copies), fresh id.
   std::shared_ptr<Snapshot> clone_shards() const;
 
-  void recompute_total_bytes() noexcept;
-
   ShardMap map_;
   std::vector<Shard> shards_;
-  std::uint64_t total_bytes_ = 0;
   std::uint64_t id_ = 0;
 };
 

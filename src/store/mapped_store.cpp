@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "core/label_store.h"
 #include "store/plan_builder.h"
@@ -60,16 +61,55 @@ std::uint32_t MappedStore::sniff_file_version(const std::string& path) {
   return read_le<std::uint32_t>(head + 4);
 }
 
-// plglint: untrusted-input
 std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   // Under an active map-flip plan the mapping must be privately writable
   // so the injected rot stays copy-on-write (the file is never dirtied).
   const bool writable =
       fault::enabled() && fault::active_plan().map_flips > 0;
+  auto store = validate(MappedFile::open(path, writable), path);
 
+  // Chaos hook: rot the (copy-on-write) shard payload span. Applied after
+  // validation so injected damage models post-admission memory rot, the
+  // case the lazy CRC + quarantine + backing re-read pipeline must catch.
+  if (writable) {
+    const std::size_t prefix =
+        kHeaderBytes + store->dir_.size() * kDirEntryBytes;
+    fault::on_map_region(store->file_.mutable_data() + prefix,
+                         store->file_.size() - prefix);
+  }
+  return store;
+}
+
+std::shared_ptr<const MappedStore> MappedStore::from_image(
+    const std::vector<std::uint8_t>& image) {
+  // Under an active shard-fail plan the mapping is privately writable so
+  // the injected rot stays out of the memfd, which remains a clean heal
+  // source.
+  const bool writable =
+      fault::enabled() && fault::active_plan().shard_fail_every > 0;
+  auto store = validate(
+      MappedFile::from_bytes(image.data(), image.size(), writable),
+      "memory image");
+  if (writable) {
+    // One shard-fail draw per shard. The flip lands past the offsets
+    // table, so admission's structural checks still pass and only the
+    // first-touch CRC can notice.
+    for (const ShardDirEntry& e : store->dir_) {
+      const std::uint64_t skip = sums_offset_in_region(e.label_count);
+      fault::on_shard_admission(
+          store->file_.mutable_data() + e.byte_off + skip,
+          static_cast<std::size_t>(e.byte_len - skip));
+    }
+  }
+  return store;
+}
+
+// plglint: untrusted-input
+std::shared_ptr<MappedStore> MappedStore::validate(MappedFile file,
+                                                   const std::string& path) {
   auto store = std::shared_ptr<MappedStore>(new MappedStore());
   store->path_ = path;
-  store->file_ = MappedFile::open(path, writable);
+  store->file_ = std::move(file);
   const std::uint8_t* base = store->file_.data();
   const std::uint64_t size = store->file_.size();
 
@@ -189,16 +229,6 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   }
 
   store->lazy_ = std::make_unique<LazySlot[]>(num_shards);
-
-  // Chaos hook: rot the (copy-on-write) shard payload span. Applied after
-  // validation so injected damage models post-admission memory rot, the
-  // case the lazy CRC + quarantine + disk re-read pipeline must catch.
-  if (writable) {
-    fault::on_map_region(store->file_.mutable_data() + kHeaderBytes +
-                             dir_bytes,
-                         static_cast<std::size_t>(size - kHeaderBytes -
-                                                  dir_bytes));
-  }
   return store;
 }
 
@@ -271,24 +301,15 @@ std::vector<Label> MappedStore::read_shard_labels(std::size_t s) const {
   // the offsets/bits views below need 8-byte alignment.
   std::vector<std::uint64_t> region(
       static_cast<std::size_t>(e.byte_len / 8));
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    throw DecodeError("MappedStore: cannot re-open " + path_ +
-                      " for shard heal");
-  }
-  in.seekg(static_cast<std::streamoff>(e.byte_off));
-  in.read(reinterpret_cast<char*>(region.data()),
-          static_cast<std::streamsize>(e.byte_len));
-  if (in.gcount() != static_cast<std::streamsize>(e.byte_len)) {
-    throw DecodeError("MappedStore: short read re-loading shard " +
-                      std::to_string(s) + " from " + path_);
-  }
+  file_.read_at(e.byte_off, region.data(),
+                static_cast<std::size_t>(e.byte_len));
   // The re-read bytes must match the directory CRC on their own: a shard
-  // that is rotten ON DISK is unhealable from this file, and pretending
+  // that is rotten in its backing is unhealable from it, and pretending
   // otherwise would re-admit bad bits.
   if (crc32c(region.data(), static_cast<std::size_t>(e.byte_len)) != e.crc) {
     throw DecodeError("MappedStore: shard " + std::to_string(s) +
-                      " is corrupt on disk; cannot heal from " + path_);
+                      " is corrupt in its backing; cannot heal from " +
+                      path_);
   }
   const std::uint64_t* offsets = region.data();
   const std::uint64_t* bits =

@@ -1,5 +1,7 @@
 // MappedStore: zero-copy reader for the .plgl v3 layout
-// (store/format_v3.h) over one MappedFile.
+// (store/format_v3.h) over one MappedFile — a .plgl file on disk, or an
+// in-memory image (StoreWriter::serialize output) copied into a memfd.
+// Both are validated, served and healed the same way.
 //
 // Admission is O(milliseconds), not O(store): open() maps the file,
 // eagerly validates only the header + shard directory (their CRCs plus
@@ -18,10 +20,10 @@
 // verdict is sticky. get()/load_shard() refuse a shard that is not
 // kVerified by throwing DecodeError, which is precisely the engine's
 // quarantine trigger: a corrupt shard's first query answers kCorrupt,
-// the shard is demoted via Snapshot::with_quarantined_shard, and the
-// heal path re-reads the shard's bytes FROM THE FILE (read_shard_labels
-// — a fresh pread-style read, not the possibly-rotten private mapping),
-// so memory-side damage of a clean file genuinely self-heals.
+// the snapshot counts the shard as quarantined, and the heal path
+// re-reads the shard's bytes FROM THE BACKING (read_shard_labels — a
+// pread of the file or memfd, not the possibly-rotten private mapping),
+// so memory-side damage of a clean backing genuinely self-heals.
 //
 // Plan building may read payload bytes BEFORE their CRC is checked
 // (validate_offsets makes that memory-safe); no adjacency answer is ever
@@ -66,6 +68,14 @@ class MappedStore {
   /// NOT checked here. Returns shared ownership because snapshot shards
   /// alias the mapping and must keep it alive collectively.
   static std::shared_ptr<const MappedStore> open(const std::string& path);
+
+  /// Copies a v3 image (StoreWriter::serialize output) into a memfd and
+  /// maps it exactly as open() maps a file; the memfd is the backing
+  /// read_shard_labels re-reads. Chaos: under an active shard-fail plan
+  /// each shard draws one fault::on_shard_admission flip in the private
+  /// mapping (the memfd stays clean). Throws like open().
+  static std::shared_ptr<const MappedStore> from_image(
+      const std::vector<std::uint8_t>& image);
 
   /// Reads the first 8 bytes of `path` and returns the format version
   /// (1/2/3), or 0 when the file is unreadable or not a .plgl store.
@@ -146,12 +156,12 @@ class MappedStore {
   /// Throws like get() when the shard failed its CRC.
   bool verify_label(std::size_t s, std::size_t i) const;
 
-  /// Decodes every label of shard s from a FRESH read of the file (not
-  /// the mapping), CRC-verifying the re-read bytes first. This is the
-  /// self-heal source: damage confined to the private mapping does not
-  /// exist on disk, so the returned labels are clean. Throws DecodeError
-  /// when the on-disk bytes themselves fail the CRC or cannot be read
-  /// (the shard is then genuinely unhealable from this file).
+  /// Decodes every label of shard s from a FRESH read of the backing
+  /// (file or memfd, not the mapping), CRC-verifying the re-read bytes
+  /// first. This is the self-heal source: damage confined to the private
+  /// mapping does not exist in the backing, so the returned labels are
+  /// clean. Throws DecodeError when the backing's bytes themselves fail
+  /// the CRC or cannot be read (the shard is then genuinely unhealable).
   std::vector<Label> read_shard_labels(std::size_t s) const;
 
   /// Materializes the whole store (plgtool pack/stats). Requires every
@@ -161,6 +171,11 @@ class MappedStore {
 
  private:
   MappedStore() = default;
+
+  /// Eager header + directory validation shared by open() and
+  /// from_image(); `path` names the backing in error messages.
+  static std::shared_ptr<MappedStore> validate(MappedFile file,
+                                               const std::string& path);
 
   /// Slow half of shard_intact: runs (or waits for) the once-per-shard
   /// CRC pass and returns the settled verdict.

@@ -1,14 +1,14 @@
-// Shared LabelView plan materialization for snapshot admission.
+// LabelView plan materialization for snapshot admission.
 //
-// Both snapshot backings — heap LabelStore shards (v1/v2) and mmap'd v3
-// shard regions — end admission by building one LabelView decode plan
-// per label over a packed-bits buffer plus a cumulative offset table.
-// This is the single implementation of that stage; Snapshot parallelizes
+// Every snapshot shard is a shard region of a v3 image (a mapped file or
+// an in-memory image), and admission ends by building one LabelView
+// decode plan per label over the region's packed bits plus its
+// cumulative offset table. Snapshot parallelizes
 // it by running one build_plans call per shard on the ThreadPool, which
 // is exactly the serial per-shard loop and therefore bit-identical to a
 // serial build (regression-asserted in tests/test_store.cpp).
 //
-// validate_offsets is the structural gate the mmap path runs BEFORE
+// validate_offsets is the structural gate admission runs BEFORE
 // building plans from unverified bytes: with the offset table proven
 // monotone and bounded by the directory's bit count (itself bounded by
 // the real file size at open), no label extent can reach outside the

@@ -8,7 +8,6 @@
 #include "core/label_store.h"
 #include "store/format_v3.h"
 #include "store/shard_map.h"
-#include "util/bit_stream.h"
 #include "util/bits.h"
 #include "util/crc32.h"
 #include "util/errors.h"
@@ -29,15 +28,29 @@ void poke(std::vector<std::uint8_t>& out, std::size_t at, T value) {
   std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
-/// Canonical re-pack of one label into `packed` (same reader loop the v2
-/// writer uses, so stale bits past size_bits never leak into the file).
-void pack_label(const Label& l, BitWriter& packed) {
-  BitReader r = l.reader();
+/// ORs `value` into the little-endian word `word` of `dst`.
+void or_word(std::uint8_t* dst, std::uint64_t word, std::uint64_t value) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, dst + word * 8, sizeof(w));
+  w |= value;
+  std::memcpy(dst + word * 8, &w, sizeof(w));
+}
+
+/// Canonical re-pack of one label into the zeroed packed-bits section at
+/// `dst`, starting at bit `at`: its words in 64-bit chunks, the last cut
+/// to size_bits, so stale bits past size_bits never leak into the file.
+void pack_label(const Label& l, std::uint8_t* dst, std::uint64_t at) {
+  const std::vector<std::uint64_t>& words = l.words();
   std::size_t remaining = l.size_bits();
-  while (remaining > 0) {
-    const int chunk = static_cast<int>(std::min<std::size_t>(64, remaining));
-    packed.write_bits(r.read_bits(chunk), chunk);
-    remaining -= static_cast<std::size_t>(chunk);
+  for (std::size_t i = 0; remaining > 0; ++i) {
+    const std::size_t chunk = std::min<std::size_t>(64, remaining);
+    const std::uint64_t value =
+        chunk == 64 ? words[i] : words[i] & ((std::uint64_t{1} << chunk) - 1);
+    const unsigned shift = static_cast<unsigned>(at % 64);
+    or_word(dst, at / 64, value << shift);
+    if (shift + chunk > 64) or_word(dst, at / 64 + 1, value >> (64 - shift));
+    at += chunk;
+    remaining -= chunk;
   }
 }
 
@@ -101,13 +114,16 @@ std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
     for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
       append(out, label_spot_checksum(labeling[static_cast<Vertex>(v)]));
     }
-    out.resize(region_start + static_cast<std::size_t>(
-                                  bits_offset_in_region(e.label_count)));
-    BitWriter packed;
+    const std::size_t bits_start =
+        region_start +
+        static_cast<std::size_t>(bits_offset_in_region(e.label_count));
+    out.resize(region_start + static_cast<std::size_t>(e.byte_len));
+    std::uint64_t at = 0;
     for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
-      pack_label(labeling[static_cast<Vertex>(v)], packed);
+      const Label& l = labeling[static_cast<Vertex>(v)];
+      pack_label(l, out.data() + bits_start, at);
+      at += l.size_bits();
     }
-    for (const std::uint64_t w : packed.words()) append(out, w);
 
     // crc sits 32 bytes into the serialized entry (after four u64 fields).
     const std::size_t dir_at = kHeaderBytes + kDirEntryBytes * s + 32;

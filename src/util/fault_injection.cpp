@@ -193,19 +193,20 @@ std::uint32_t next_chunk_stall() noexcept {
   return g_plan.stall_ms;
 }
 
-bool on_shard_admission(std::vector<std::uint8_t>& blob) noexcept {
-  if (!enabled() || g_plan.shard_fail_every == 0 || blob.empty()) return false;
-  const std::uint64_t n = g_shard_calls.fetch_add(1, std::memory_order_relaxed);
-  if ((n + 1) % g_plan.shard_fail_every != 0) return false;
+bool on_shard_admission(std::uint8_t* data, std::size_t n) noexcept {
+  if (!enabled() || g_plan.shard_fail_every == 0 || n == 0) return false;
+  const std::uint64_t call =
+      g_shard_calls.fetch_add(1, std::memory_order_relaxed);
+  if ((call + 1) % g_plan.shard_fail_every != 0) return false;
   if (!claim_budget()) return false;
   // One bit flip is enough: CRC-32C detects all 1-bit errors, so the
-  // strict re-parse is guaranteed to reject the shard. The position is a
-  // pure function of (seed, injection ordinal) — deterministic damage.
+  // shard's CRC check is guaranteed to reject it. The position is a pure
+  // function of (seed, injection ordinal) — deterministic damage.
   const std::uint64_t ordinal =
       g_injected_shard_fails.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t state = g_plan.seed ^ (ordinal * 0x9E3779B97F4A7C15ull);
-  const std::uint64_t bit = splitmix64(state) % (blob.size() * 8);
-  blob[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  const std::uint64_t bit = splitmix64(state) % (n * 8);
+  data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   return true;
 }
 

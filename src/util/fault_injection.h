@@ -76,9 +76,10 @@ struct FaultPlan {
   /// Duration of an injected worker stall.
   std::uint32_t stall_ms = 1;
 
-  /// When k > 0, every k-th snapshot shard admission has one bit of its
-  /// freshly serialized blob flipped, so the strict CRC re-parse fails
-  /// (mid-reload corruption; exercises shard quarantine).
+  /// When k > 0, every k-th shard of an in-memory store image
+  /// (Snapshot::build, v1/v2 conversion, heal) has one bit of its private
+  /// mapping flipped, so the shard fails its first-touch CRC (mid-reload
+  /// corruption; exercises shard quarantine and self-heal).
   std::uint64_t shard_fail_every = 0;
 
   /// When k > 0, every k-th label fetch in the query engine is treated
@@ -222,11 +223,11 @@ void check_untrusted_alloc(std::uint64_t bytes, const char* what);
 /// duration in milliseconds (0 = run at full speed); the caller sleeps.
 std::uint32_t next_chunk_stall() noexcept;
 
-/// Called by snapshot shard admission between serialize and the strict
-/// re-parse. When the plan says this admission fails, flips one
-/// seed-determined bit of `blob` (so the CRC check rejects it) and
-/// returns true.
-bool on_shard_admission(std::vector<std::uint8_t>& blob) noexcept;
+/// Called by store::MappedStore::from_image once per shard, on the
+/// writable private mapping of that shard's payload. When the plan says
+/// this admission fails, flips one seed-determined bit of `data[0..n)`
+/// (so the shard's CRC check rejects it) and returns true.
+bool on_shard_admission(std::uint8_t* data, std::size_t n) noexcept;
 
 /// Called by the engine before fetching a label. True means the fetch
 /// must be treated as a decode failure (answered kCorrupt in-band).

@@ -122,11 +122,23 @@ class ChildNode {
   std::uint16_t port() const noexcept { return port_; }
   pid_t pid() const noexcept { return pid_; }
 
-  void kill9() const {
-    if (pid_ > 0) ::kill(pid_, SIGKILL);
+  // Both wait for the signal to take effect: delivery is asynchronous,
+  // and on a loaded host the child could otherwise still answer a
+  // request sent right after the kill.
+  void kill9() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+      pid_ = -1;
+    }
   }
   void stop_clock() const {
-    if (pid_ > 0) ::kill(pid_, SIGSTOP);
+    if (pid_ > 0) {
+      ::kill(pid_, SIGSTOP);
+      int status = 0;
+      ::waitpid(pid_, &status, WUNTRACED);
+    }
   }
 
   void reap() {

@@ -193,7 +193,7 @@ TEST(ServiceHooks, NoOpsWhenDisabled) {
   EXPECT_FALSE(fault::should_fail_query());
   auto blob = sample_bytes(64, 29);
   const auto original = blob;
-  fault::on_shard_admission(blob);
+  fault::on_shard_admission(blob.data(), blob.size());
   EXPECT_EQ(blob, original);
 }
 
@@ -237,11 +237,11 @@ TEST(ServiceHooks, ShardAdmissionFlipsExactlyOneBitDeterministically) {
   auto second = original;
   {
     fault::ScopedFault scope(FaultPlan::parse_spec("seed=21,shard-fail=1"));
-    fault::on_shard_admission(first);
+    fault::on_shard_admission(first.data(), first.size());
   }
   {
     fault::ScopedFault scope(FaultPlan::parse_spec("seed=21,shard-fail=1"));
-    fault::on_shard_admission(second);
+    fault::on_shard_admission(second.data(), second.size());
   }
   EXPECT_EQ(first, second);  // counters reset on enable => same ordinal
   std::size_t flipped_bits = 0;
@@ -249,21 +249,22 @@ TEST(ServiceHooks, ShardAdmissionFlipsExactlyOneBitDeterministically) {
     flipped_bits += static_cast<std::size_t>(
         std::popcount(static_cast<unsigned>(first[i] ^ original[i])));
   }
-  // Exactly one bit: CRC-32C detects all single-bit errors, so a strict
-  // re-parse of a hooked admission blob is guaranteed to reject it.
+  // Exactly one bit: CRC-32C detects all single-bit errors, so a hooked
+  // shard is guaranteed to fail its CRC check.
   EXPECT_EQ(flipped_bits, 1u);
 
   auto other_seed = original;
   {
     fault::ScopedFault scope(FaultPlan::parse_spec("seed=22,shard-fail=1"));
-    fault::on_shard_admission(other_seed);
+    fault::on_shard_admission(other_seed.data(), other_seed.size());
   }
   EXPECT_NE(other_seed, first);
 
   auto empty = std::vector<std::uint8_t>{};
   {
     fault::ScopedFault scope(FaultPlan::parse_spec("seed=21,shard-fail=1"));
-    fault::on_shard_admission(empty);  // nothing to flip; must not crash
+    // Nothing to flip; must not crash.
+    fault::on_shard_admission(empty.data(), empty.size());
   }
   EXPECT_TRUE(empty.empty());
 }

@@ -26,6 +26,9 @@
 #include "service/serve.h"
 #include "service/snapshot.h"
 #include "service/thread_pool.h"
+#include "store/format_v3.h"
+#include "store/store_writer.h"
+#include "util/bit_stream.h"
 #include "util/errors.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -264,18 +267,28 @@ TEST(QueryServiceDeadline, GenerousDeadlineAnswersEverything) {
 
 // -------------------------------------------------- snapshot quarantine
 
+/// Touches every shard of `snap` once, running each first-touch CRC.
+void touch_every_shard(const Snapshot& snap) {
+  for (std::size_t s = 0; s < snap.num_shards(); ++s) {
+    (void)snap.view(snap.shard_map().shard_begin(s));
+  }
+}
+
 TEST(SnapshotQuarantine, AdmissionFailureQuarantinesInsteadOfThrowing) {
   const Graph g = chaos_graph(200, 16);
   const auto enc = thin_fat_encode(g, 12);
 
-  // Every 2nd shard admission gets one bit flipped between serialize and
-  // the strict re-parse: those shards must quarantine, the others serve.
+  // Every 2nd shard of the image gets one bit of its private mapping
+  // flipped at admission. Admission checks no CRC, so the build succeeds;
+  // the damaged shards quarantine on first touch, the others serve.
   std::shared_ptr<const Snapshot> snap;
   {
     fault::ScopedFault fp(fault::FaultPlan::parse_spec("seed=5,shard-fail=2"));
-    snap = Snapshot::build(enc.labeling, 8, /*allow_quarantine=*/true);
+    snap = Snapshot::build(enc.labeling, 8);
   }
   ASSERT_EQ(snap->num_shards(), 8u);
+  EXPECT_EQ(snap->num_quarantined(), 0u);
+  touch_every_shard(*snap);
   EXPECT_EQ(snap->num_quarantined(), 4u);
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
     if (!snap->shard_quarantined(s)) {
@@ -298,11 +311,20 @@ TEST(SnapshotQuarantine, AdmissionFailureQuarantinesInsteadOfThrowing) {
   }
 }
 
-TEST(SnapshotQuarantine, BuildWithoutQuarantineStillThrows) {
+TEST(SnapshotQuarantine, BuildUnderShardFailDefersToFirstTouch) {
   const Graph g = chaos_graph(100, 17);
   const auto enc = thin_fat_encode(g, 12);
   fault::ScopedFault fp(fault::FaultPlan::parse_spec("seed=5,shard-fail=1"));
-  EXPECT_THROW(Snapshot::build(enc.labeling, 4), CorruptionError);
+  // Every shard is damaged, yet build does not throw.
+  const auto snap = Snapshot::build(enc.labeling, 4);
+  for (std::size_t s = 0; s < snap->num_shards(); ++s) {
+    const std::uint64_t v = snap->shard_map().shard_begin(s);
+    EXPECT_EQ(snap->shard_crc_state(s), store::ShardCrcState::kUnverified);
+    EXPECT_EQ(snap->view(v), nullptr);
+    EXPECT_THROW((void)snap->get(v), DecodeError);
+    EXPECT_TRUE(snap->shard_quarantined(s));
+  }
+  EXPECT_EQ(snap->num_quarantined(), 4u);
 }
 
 TEST(SnapshotQuarantine, RuntimeDemotionKeepsHealSource) {
@@ -346,25 +368,27 @@ TEST(QueryServiceSelfHealing, QuarantinedShardHealsAndServesAgain) {
   const Graph g = chaos_graph(200, 20);
   const auto enc = thin_fat_encode(g, 12);
 
-  // Fail every shard admission while the budget lasts: the initial build
-  // quarantines all 4 shards (4 faults), the healer's first re-admission
+  // Damage every image shard while the budget lasts: the initial build
+  // damages all 4 shards (4 faults), the healer's first re-admission
   // attempts may burn the rest, and then healing must succeed — without
   // the plan ever being reconfigured mid-run.
   fault::ScopedFault fp(
       fault::FaultPlan::parse_spec("seed=9,shard-fail=1,budget=6"));
-  auto snap = Snapshot::build(enc.labeling, 4, /*allow_quarantine=*/true);
-  ASSERT_EQ(snap->num_quarantined(), 4u);
+  auto snap = Snapshot::build(enc.labeling, 4);
+  ASSERT_EQ(snap->num_quarantined(), 0u);  // latent until first touch
 
   QueryService svc(std::move(snap), {.threads = 2,
                                      .heal = true,
                                      .heal_base_ms = 1,
                                      .heal_max_ms = 4,
                                      .heal_seed = 77});
-  // While quarantined, queries answer kCorrupt in-band (no throw, no
-  // blocked caller).
-  const auto early = svc.query({0, 1});
-  if (early.status == QueryStatus::kCorrupt) {
-    EXPECT_GT(svc.stats().quarantine_hits, 0u);
+  // Each shard's first touch fails its CRC: the query answers kCorrupt
+  // in-band (no throw, no blocked caller), and the shard is quarantined
+  // and healed without any quarantine_after tally.
+  const ShardMap map = svc.snapshot()->shard_map();
+  for (std::size_t s = 0; s < map.num_shards(); ++s) {
+    const std::uint64_t v = map.shard_begin(s);
+    EXPECT_EQ(svc.query({v, v}).status, QueryStatus::kCorrupt) << "s=" << s;
   }
 
   ASSERT_TRUE(eventually(
@@ -422,6 +446,138 @@ TEST(QueryServiceSelfHealing, QueryTimeCorruptionDemotesShard) {
   EXPECT_EQ(svc.query({far, far}).status, QueryStatus::kOk);
 }
 
+/// Queries `svc` until every shard is healthy again and a heal has
+/// succeeded, then checks a fresh stream. Each round touches every shard
+/// (so latent CRC damage surfaces) plus random pairs; every kOk answer,
+/// during and after healing, must match the oracle.
+void drive_until_healed(QueryService& svc, const Graph& g,
+                        std::uint64_t seed) {
+  Rng rng = stream_rng(seed, 1);
+  std::uint64_t wrong = 0;
+  const auto check = [&](const std::vector<QueryRequest>& batch) {
+    const auto results = svc.query_batch(batch);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (results[i].status == QueryStatus::kOk &&
+          results[i].adjacent != oracle_adjacent(g, batch[i])) {
+        ++wrong;
+      }
+    }
+    return results;
+  };
+  const bool healed = eventually(
+      [&] {
+        const ShardMap map = svc.snapshot()->shard_map();
+        std::vector<QueryRequest> batch;
+        for (std::size_t s = 0; s < map.num_shards(); ++s) {
+          batch.push_back(
+              {map.shard_begin(s), rng.next_below(map.num_vertices())});
+        }
+        for (int i = 0; i < 64; ++i) {
+          batch.push_back({rng.next_below(map.num_vertices()),
+                           rng.next_below(map.num_vertices())});
+        }
+        (void)check(batch);
+        const ServiceStats st = svc.stats();
+        return st.quarantined_shards == 0 && st.heal_successes > 0;
+      },
+      std::chrono::seconds(30));
+  ASSERT_TRUE(healed) << "stats: " << svc.stats().to_json();
+  EXPECT_EQ(wrong, 0u);
+
+  std::vector<QueryRequest> batch;
+  for (int i = 0; i < 2000; ++i) {
+    batch.push_back({rng.next_below(g.num_vertices()),
+                     rng.next_below(g.num_vertices())});
+  }
+  const auto results = check(batch);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].status, QueryStatus::kOk) << "i=" << i;
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
+// With default options (quarantine_after = 0, as `plgtool serve` runs),
+// a shard failing its first-touch CRC is quarantined and healed without
+// any tally: once for a v3 file whose mapping rots, once for an
+// in-memory image damaged at admission.
+TEST(QueryServiceSelfHealing, DefaultOptionsHealFirstTouchCrcFailures) {
+  const Graph g = chaos_graph(600, 24);
+  const auto enc = thin_fat_encode(g, 12);
+  ServiceOptions opt;
+  opt.threads = 2;
+  ASSERT_EQ(opt.quarantine_after, 0u);
+  {
+    const std::string path = testing::TempDir() + "chaos_default_heal.plgl";
+    store::StoreWriter::write_file(path, enc.labeling, 6);
+    fault::ScopedFault fp(
+        fault::FaultPlan::parse_spec("seed=21,map-flip=24"));
+    // Precondition: some shard keeps a sound offsets table but fails its
+    // CRC. A second mapping of the file sees identical damage, so a
+    // probe snapshot can check without touching the served one.
+    const auto probe = Snapshot::from_file(path, 6, StoreVerify::kStrict,
+                                           /*allow_quarantine=*/true);
+    std::size_t lazy_failures = 0;
+    for (std::size_t s = 0; s < probe->num_shards(); ++s) {
+      if (!probe->shard_quarantined(s) &&
+          probe->view(probe->shard_map().shard_begin(s)) == nullptr) {
+        ++lazy_failures;
+      }
+    }
+    ASSERT_GT(lazy_failures, 0u);
+    QueryService svc(Snapshot::from_file(path, 6, StoreVerify::kStrict,
+                                         /*allow_quarantine=*/true),
+                     opt);
+    drive_until_healed(svc, g, 1);
+  }
+  {
+    fault::ScopedFault fp(
+        fault::FaultPlan::parse_spec("seed=9,shard-fail=2,budget=3"));
+    QueryService svc(Snapshot::build(enc.labeling, 8), opt);
+    drive_until_healed(svc, g, 2);
+  }
+}
+
+// Corruption counts against the shard whose label failed, not against
+// the shard of the query's first endpoint. Shard 3 (B) is the only bad
+// one; every query pairs u in shard 0 (A) with v in B.
+TEST(QueryServiceSelfHealing, CorruptionIsBlamedOnTheFailingShard) {
+  const Graph g = chaos_graph(200, 25);
+  const auto enc = thin_fat_encode(g, 12);
+  const ServiceOptions opt{.threads = 1, .quarantine_after = 1,
+                           .heal = false};
+  const auto check = [](QueryService& svc) {
+    const ShardMap map = svc.snapshot()->shard_map();
+    const std::uint64_t a = map.shard_begin(0);
+    const std::uint64_t b = map.shard_begin(3);
+    EXPECT_EQ(svc.query({a, b}).status, QueryStatus::kCorrupt);
+    ASSERT_TRUE(eventually(
+        [&svc] { return svc.stats().quarantined_shards == 1; },
+        std::chrono::seconds(10)));
+    const auto snap = svc.snapshot();
+    EXPECT_FALSE(snap->shard_quarantined(0));
+    EXPECT_TRUE(snap->shard_quarantined(3));
+    EXPECT_EQ(svc.query({a, a + 1}).status, QueryStatus::kOk);
+  };
+  {
+    // B's bits are CRC-valid, but its first label's header does not
+    // parse; one decode failure reaches quarantine_after=1.
+    std::vector<Label> labels(enc.labeling.labels());
+    BitWriter garbage;
+    garbage.write_bits(0, 3);
+    const std::uint64_t b = ShardMap(labels.size(), 4).shard_begin(3);
+    labels[b] = Label::from_writer(std::move(garbage));
+    QueryService svc(Snapshot::build(Labeling(std::move(labels)), 4), opt);
+    check(svc);
+  }
+  {
+    // B fails its first-touch CRC: the 4th image shard draws the flip.
+    fault::ScopedFault fp(
+        fault::FaultPlan::parse_spec("seed=3,shard-fail=4,budget=1"));
+    QueryService svc(Snapshot::build(enc.labeling, 4), opt);
+    check(svc);
+  }
+}
+
 // ------------------------------------------------------------ the storm
 
 TEST(QueryServiceChaos, SeededStormStaysCorrectAndHeals) {
@@ -454,7 +610,7 @@ TEST(QueryServiceChaos, SeededStormStaysCorrectAndHeals) {
   // healer chases them, all under query fire.
   std::thread reloader([&] {
     for (int i = 0; i < 10; ++i) {
-      svc.reload(Snapshot::build(enc.labeling, 8, /*allow_quarantine=*/true));
+      svc.reload(Snapshot::build(enc.labeling, 8));
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
     }
   });
@@ -498,7 +654,10 @@ TEST(QueryServiceChaos, SeededStormStaysCorrectAndHeals) {
   EXPECT_GT(injected.query_fails, 0u);
 
   // Budget exhausted -> the healer wins: quarantine clears and the full
-  // service comes back, in-process.
+  // service comes back, in-process. Shard damage from the last reloads is
+  // latent until first touch, so touch every shard of the current
+  // snapshot first.
+  touch_every_shard(*svc.snapshot());
   ASSERT_TRUE(eventually(
       [&svc] { return svc.stats().quarantined_shards == 0; },
       std::chrono::seconds(30)))
@@ -693,12 +852,24 @@ TEST(ServeLoopReload, QuarantinedReloadReportsShardCount) {
   QueryService svc(Snapshot::build(enc.labeling, 4),
                    {.threads = 2, .heal = false});
   const std::string path = testing::TempDir() + "chaos_reload_q.plgl";
-  LabelStore::save_file(path, enc.labeling);
+  store::StoreWriter::write_file(path, enc.labeling, 4);
 
-  // The file is intact; the *shard admissions* fail under the plan, so
-  // the reload succeeds degraded, naming its quarantined shard count.
-  fault::ScopedFault fp(
-      fault::FaultPlan::parse_spec("seed=8,shard-fail=2,budget=2"));
+  // Break the offsets tables of shards 0 and 2 (their first entry must
+  // be zero) without touching the header or directory: the reload
+  // succeeds degraded, naming its quarantined shard count.
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    for (const std::size_t s : {0u, 2u}) {
+      // A directory entry starts with its region's byte offset, and a
+      // region starts with its offsets table.
+      std::uint64_t region = 0;
+      f.seekg(static_cast<std::streamoff>(store::kHeaderBytes +
+                                          s * store::kDirEntryBytes));
+      f.read(reinterpret_cast<char*>(&region), sizeof(region));
+      f.seekp(static_cast<std::streamoff>(region));
+      f.put(1);
+    }
+  }
   std::istringstream in("RELOAD " + path + "\nQUIT\n");
   std::ostringstream out;
   serve_loop(svc, in, out, {.num_shards = 4});

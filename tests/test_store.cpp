@@ -4,9 +4,9 @@
 // per-shard CRC state machine, mmap fault injection, and the snapshot
 // integration: mapped admission, parallel plan materialization
 // (regression-asserted bit-identical to serial), quarantine + self-heal
-// of shards whose mapping rots, and the v2-heap vs v3-mmap differential
-// contract over >10k FaultPlan-corrupted labels (answer for answer,
-// throw for throw).
+// of shards whose mapping rots, and the identity of the three admission
+// routes (converted v2 file, v3 file, in-memory build) over >10k
+// FaultPlan-corrupted labels (answer for answer, throw for throw).
 //
 // Suite names embed "Snapshot" where the test exercises concurrent
 // snapshot state, so the tsan CI job's regex picks them up.
@@ -408,7 +408,6 @@ TEST(SnapshotMappedAdmission, FromFileRoutesV3ToTheMapping) {
   EXPECT_EQ(snap->size(), labeling.size());
   EXPECT_GT(snap->total_bytes(), 0u);
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
-    EXPECT_TRUE(snap->shard_mapped(s));
     EXPECT_FALSE(snap->shard_quarantined(s));
     // Admission built plans without paying any CRC pass.
     EXPECT_EQ(snap->shard_crc_state(s), ShardCrcState::kUnverified);
@@ -417,8 +416,6 @@ TEST(SnapshotMappedAdmission, FromFileRoutesV3ToTheMapping) {
     const LabelView* view = snap->view(v);
     ASSERT_NE(view, nullptr) << "v=" << v;
     EXPECT_EQ(snap->get(v), labeling[static_cast<Vertex>(v)]);
-    EXPECT_EQ(snap->label_bits(v),
-              labeling[static_cast<Vertex>(v)].size_bits());
     EXPECT_TRUE(snap->verify_label(v));
   }
   // The sweep touched every shard: all lazily verified by now.
@@ -475,16 +472,22 @@ TEST(SnapshotMappedAdmission, StructurallyBadShardQuarantinesOrThrows) {
                                          /*allow_quarantine=*/false,
                                          /*build_workers=*/3),
                DecodeError);
-  // Quarantining: the shard is demoted at admission; its on-disk bytes
-  // are genuinely corrupt (the poke broke the region CRC too), so no
-  // heal source exists.
+  // Quarantining: the shard is demoted at admission. Its on-disk bytes
+  // are genuinely corrupt (the poke broke the region CRC too), so the
+  // first heal finds no clean source and marks the shard unhealable.
   const auto snap = Snapshot::from_file(path, 3, StoreVerify::kStrict,
                                         /*allow_quarantine=*/true);
   EXPECT_EQ(snap->num_quarantined(), 1u);
   EXPECT_TRUE(snap->shard_quarantined(0));
-  EXPECT_FALSE(snap->shard_healable(0));
+  EXPECT_TRUE(snap->shard_healable(0));
   EXPECT_FALSE(snap->shard_error(0).empty());
   EXPECT_FALSE(snap->shard_quarantined(1));
+  const auto healed = snap->heal_shard(0);
+  EXPECT_TRUE(healed->shard_quarantined(0));
+  EXPECT_FALSE(healed->shard_healable(0));
+  EXPECT_NE(healed->shard_error(0).find("corrupt in its backing"),
+            std::string::npos);
+  EXPECT_FALSE(healed->shard_quarantined(1));
 }
 
 // ---------------------------------------------- parallel admission parity
@@ -506,11 +509,12 @@ void expect_snapshots_identical(const Snapshot& a, const Snapshot& b) {
   }
 }
 
+// The in-memory route: build() of a labeling.
 TEST(SnapshotParallelAdmission, HeapBuildIdenticalToSerial) {
   const Graph g = store_graph(600, 114);
   const Labeling labeling = encode_labels(g);
-  const auto serial = Snapshot::build(labeling, 8, false, /*workers=*/1);
-  const auto parallel = Snapshot::build(labeling, 8, false, /*workers=*/4);
+  const auto serial = Snapshot::build(labeling, 8, /*build_workers=*/1);
+  const auto parallel = Snapshot::build(labeling, 8, /*build_workers=*/4);
   expect_snapshots_identical(*serial, *parallel);
 }
 
@@ -623,9 +627,9 @@ TEST(SnapshotMappedHeal, MapFlipCorruptionQuarantinesThenSelfHeals) {
       std::chrono::seconds(30)))
       << "healer did not clear quarantine; stats: " << svc.stats().to_json();
 
-  // Oracle check after heal: the snapshot (now mixed heap/mmap backing)
-  // answers every query correctly — the corruption never cost the
-  // snapshot, only the damaged shards' mapping.
+  // Oracle check after heal: the snapshot (healed shards are served from
+  // in-memory images) answers every query correctly — the corruption
+  // never cost the snapshot, only the damaged shards' mapping.
   std::size_t checked = 0;
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t u = rng.next_below(labeling.size());
@@ -656,10 +660,6 @@ TEST(SnapshotMappedHeal, QuarantineExtractsHealSourceFromDisk) {
   std::size_t bad = snap->num_shards();
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
     if (snap->shard_quarantined(s)) continue;  // offsets-table hit
-    if (snap->shard_crc_state(s) != ShardCrcState::kCorrupt &&
-        !snap->shard_mapped(s)) {
-      continue;
-    }
     if (snap->view(snap->shard_map().shard_begin(s)) == nullptr) {
       bad = s;
       break;
@@ -673,7 +673,6 @@ TEST(SnapshotMappedHeal, QuarantineExtractsHealSourceFromDisk) {
       << "disk is clean; the heal source must come from a fresh read";
   const auto healed = demoted->heal_shard(bad);
   EXPECT_FALSE(healed->shard_quarantined(bad));
-  EXPECT_FALSE(healed->shard_mapped(bad));  // healed shards are heap-backed
   const std::uint64_t begin = healed->shard_map().shard_begin(bad);
   const std::uint64_t end = healed->shard_map().shard_end(bad);
   for (std::uint64_t v = begin; v < end; ++v) {
@@ -734,13 +733,14 @@ Outcome snapshot_adjacent(const Snapshot& snap, std::uint64_t u,
   return o;
 }
 
-/// The differential contract of the storage planes: a v2 heap-admitted
-/// snapshot and a v3 mmap'd snapshot of the SAME (corrupted) label set
-/// must be indistinguishable to the serving layer — answer for answer,
-/// throw for throw — across thousands of FaultPlan-corrupted labels.
-/// Under ASan/UBSan this also proves the mapped zero-copy loads never
-/// leave the mapping even when a corrupt header lies about its payload.
-TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
+/// The identity contract of the admission routes: a v2 file converted
+/// on load, a v3 file mapped as is, and build() of the same (corrupted)
+/// label set in memory must be indistinguishable to the serving layer —
+/// answer for answer, throw for throw — across thousands of
+/// FaultPlan-corrupted labels. Under ASan/UBSan this also proves the
+/// zero-copy loads never leave the mapping even when a corrupt header
+/// lies about its payload.
+TEST(StoreDifferential, ConvertedV2V3AndBuildAnswerForAnswerThrowForThrow) {
   const std::uint64_t kSeeds[] = {119, 120, 121};
   std::size_t corrupted_total = 0;
   std::size_t pair_checks = 0;
@@ -748,8 +748,8 @@ TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
     const Graph g = store_graph(3600, seed);
     const Labeling clean = encode_labels(g);
 
-    // Corrupt every label independently, pre-serialization: both stores
-    // then hold byte-identical garbage whose section/shard CRCs pass.
+    // Corrupt every label independently, pre-serialization: every route
+    // then holds byte-identical garbage whose section/shard CRCs pass.
     fault::FaultPlan plan;
     plan.bit_flips = 2;
     std::vector<Label> labels;
@@ -774,35 +774,39 @@ TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
     LabelStore::save_file(v2, corrupt);
     StoreWriter::write_file(v3, corrupt, 8);
 
-    const auto heap = Snapshot::from_file(v2, 8, StoreVerify::kStrict,
-                                          /*allow_quarantine=*/true);
+    const auto converted = Snapshot::from_file(v2, 8, StoreVerify::kStrict,
+                                               /*allow_quarantine=*/true);
     const auto mapped = Snapshot::from_file(v3, 8, StoreVerify::kStrict,
                                             /*allow_quarantine=*/true);
-    ASSERT_EQ(heap->size(), mapped->size());
-    ASSERT_EQ(heap->num_quarantined(), 0u);
-    ASSERT_EQ(mapped->num_quarantined(), 0u);
-
-    // Per-label: identical bytes, identical plan verdicts.
-    for (std::uint64_t v = 0; v < heap->size(); ++v) {
-      ASSERT_EQ(heap->get(v), mapped->get(v)) << "v=" << v;
-      const LabelView* hv = heap->view(v);
-      const LabelView* mv = mapped->view(v);
-      ASSERT_EQ(hv == nullptr, mv == nullptr) << "v=" << v;
-      if (hv != nullptr) {
-        ASSERT_TRUE(hv->plan_equals(*mv)) << "v=" << v;
+    const auto built = Snapshot::build(corrupt, 8);
+    ASSERT_EQ(converted->num_quarantined(), 0u);
+    for (const Snapshot* other : {mapped.get(), built.get()}) {
+      ASSERT_EQ(converted->size(), other->size());
+      ASSERT_EQ(other->num_quarantined(), 0u);
+      // Per-label: identical bytes, identical plan verdicts.
+      for (std::uint64_t v = 0; v < converted->size(); ++v) {
+        ASSERT_EQ(converted->get(v), other->get(v)) << "v=" << v;
+        const LabelView* cv = converted->view(v);
+        const LabelView* ov = other->view(v);
+        ASSERT_EQ(cv == nullptr, ov == nullptr) << "v=" << v;
+        if (cv != nullptr) {
+          ASSERT_TRUE(cv->plan_equals(*ov)) << "v=" << v;
+        }
       }
     }
     // Per-pair: the full serving pipeline agrees, including which
     // queries throw and with what message.
     Rng rng = stream_rng(seed, 2);
     for (int i = 0; i < 1500; ++i) {
-      const std::uint64_t u = rng.next_below(heap->size());
-      const std::uint64_t v = rng.next_below(heap->size());
-      const Outcome h = snapshot_adjacent(*heap, u, v);
-      const Outcome m = snapshot_adjacent(*mapped, u, v);
-      ASSERT_EQ(h.threw, m.threw) << "u=" << u << " v=" << v;
-      ASSERT_EQ(h.answer, m.answer) << "u=" << u << " v=" << v;
-      ASSERT_EQ(h.what, m.what) << "u=" << u << " v=" << v;
+      const std::uint64_t u = rng.next_below(converted->size());
+      const std::uint64_t v = rng.next_below(converted->size());
+      const Outcome c = snapshot_adjacent(*converted, u, v);
+      for (const Snapshot* other : {mapped.get(), built.get()}) {
+        const Outcome o = snapshot_adjacent(*other, u, v);
+        ASSERT_EQ(c.threw, o.threw) << "u=" << u << " v=" << v;
+        ASSERT_EQ(c.answer, o.answer) << "u=" << u << " v=" << v;
+        ASSERT_EQ(c.what, o.what) << "u=" << u << " v=" << v;
+      }
       ++pair_checks;
     }
   }

@@ -35,15 +35,17 @@
 //       v3 mapped), re-partitions into S shards (default 16), writes
 //       atomically (tmp + rename) so in == out migrates in place.
 //   plgtool serve <labels.plgl> [--threads T] [--shards S] [--batch B]
-//                 [--cache C] [--spot-check] [--scheme thin-fat|distance]
+//                 [--spot-check] [--scheme thin-fat|distance]
 //                 [--strict|--lenient] [--queue-cap N]
 //                 [--shed-policy reject|drop-oldest]
 //       concurrent query service over the store: line protocol on
 //       stdin/stdout (A/D queries, BATCH, STATS, HEALTH, DEADLINE,
 //       RELOAD, PING, QUIT — see src/service/serve.h). Labels are
-//       sharded across S CRC-verified snapshot shards and queries fan
-//       out over T workers. --queue-cap bounds each worker's queue (in
-//       chunks); a full queue load-sheds per --shed-policy and the shed
+//       served from an S-shard v3 image (a v1/v2 store is converted on
+//       load; a v3 store is mapped with its own partition), each shard
+//       CRC-checked on first touch, and queries fan out over T
+//       workers. --queue-cap bounds each worker's queue (in chunks); a
+//       full queue load-sheds per --shed-policy and the shed
 //       queries answer "overloaded" in-band. EOF, SIGINT, and SIGTERM
 //       drain in-flight batches and flush a final STATS line.
 //       With --tcp <port> the same engine is served over the binary
@@ -148,7 +150,7 @@ using namespace plg;
                "  plgtool verify <labels.plgl>\n"
                "  plgtool pack <in.plgl> <out.plgl> [--shards S]\n"
                "  plgtool serve <labels.plgl> [--threads T] [--shards S] "
-               "[--batch B] [--cache C] [--spot-check] "
+               "[--batch B] [--spot-check] "
                "[--scheme thin-fat|distance] [--strict|--lenient] "
                "[--queue-cap N] [--shed-policy reject|drop-oldest]\n"
                "                [--tcp PORT] [--max-conns N] [--idle-ms MS] "
@@ -189,7 +191,6 @@ struct Flags {
   std::optional<unsigned> threads;        // serve: worker count
   std::optional<std::size_t> shards;      // serve/stats: snapshot shards
   std::optional<std::size_t> batch;       // serve: queries per chunk
-  std::optional<std::size_t> cache;       // serve: per-worker cache entries
   bool spot_check = false;                // serve: checksum every decode
   bool fast = false;                      // lquery: zero-copy decode plans
   std::string scheme = "thin-fat";        // serve: which decoder
@@ -258,8 +259,6 @@ struct Flags {
         f.shards = std::strtoull(value(), nullptr, 10);
       } else if (key == "--batch") {
         f.batch = std::strtoull(value(), nullptr, 10);
-      } else if (key == "--cache") {
-        f.cache = std::strtoull(value(), nullptr, 10);
       } else if (key == "--spot-check") {
         f.spot_check = true;
       } else if (key == "--fast") {
@@ -793,7 +792,6 @@ int cmd_serve(int argc, char** argv) {
   service::ServiceOptions opt;
   opt.threads = f.threads.value_or(0);
   opt.chunk = f.batch.value_or(256);
-  opt.cache_entries = f.cache.value_or(1024);
   opt.spot_check = f.spot_check;
   opt.kind = f.scheme == "distance" ? service::QueryKind::kDistance
                                     : service::QueryKind::kAdjacency;
@@ -802,10 +800,10 @@ int cmd_serve(int argc, char** argv) {
                         ? service::ShedPolicy::kDropOldest
                         : service::ShedPolicy::kRejectNew;
 
-  // The initial load admits with quarantine like RELOAD does: under an
-  // active --fault plan (or real bit rot confined to some shards) the
-  // service starts degraded and self-heals rather than refusing to
-  // start. A file that fails its own parse still aborts startup.
+  // The initial load admits with quarantine like RELOAD does: a v3 shard
+  // whose offsets table rotted starts quarantined and self-heals rather
+  // than refusing to start. A file that fails its own parse still aborts
+  // startup.
   auto snapshot =
       service::Snapshot::from_file(path, shards, verify,
                                    /*allow_quarantine=*/true);
