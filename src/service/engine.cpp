@@ -1,6 +1,5 @@
 #include "service/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <latch>
 #include <optional>
@@ -45,14 +44,6 @@ std::optional<std::uint64_t> failed_endpoint(const Snapshot& snap,
 
 }  // namespace
 
-/// Worker-owned mutable state. Only worker w's thread ever touches
-/// states_[w] (jobs for w run exclusively on that thread), so none of
-/// this needs synchronization — the pool's per-worker queues are the
-/// isolation mechanism.
-struct QueryService::WorkerState {
-  std::vector<std::uint32_t> order;  ///< reusable chunk permutation buffer
-};
-
 QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
                            ServiceOptions opt)
     : opt_(opt),
@@ -62,10 +53,6 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
       pool_(PoolOptions{opt.threads, opt.queue_cap, opt.shed_policy}),
       metrics_(pool_.size()) {
   if (opt_.chunk == 0) opt_.chunk = 1;
-  states_.reserve(pool_.size());
-  for (unsigned i = 0; i < pool_.size(); ++i) {
-    states_.push_back(std::make_unique<WorkerState>());
-  }
   if (opt_.heal) {
     // Poke once before the thread exists: the initial snapshot may have
     // been admitted with quarantined shards (a structurally bad v3
@@ -86,12 +73,10 @@ QueryService::~QueryService() {
 }
 
 // plglint: noexcept-hot-path
-void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
+void QueryService::run_chunk(unsigned slot, const Snapshot& snap,
                              BatchControl& ctl, const QueryRequest* reqs,
-                             QueryResult* results, std::size_t count) {
-  WorkerState& ws = *states_[worker];
-  WorkerMetrics& m = metrics_.slot(worker);
-  m.batches.fetch_add(1, std::memory_order_relaxed);
+                             QueryResult* results,
+                             std::size_t count) noexcept {
   const std::uint64_t n = snap.size();
 
   // Chaos: a slow-worker fault stalls the whole chunk up front, which is
@@ -101,60 +86,40 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
     std::this_thread::sleep_for(std::chrono::milliseconds(stall));
   }
 
-  // Answer the chunk in shard order of the first endpoint: consecutive
-  // queries then walk the same shard's view table and packed bits, so the
-  // decode-plan fast path below stays cache-resident instead of hopping
-  // between shards per query. The permutation is worker-owned and reused
-  // across chunks; stable_sort keeps it deterministic. Results still land
-  // at their original batch positions.
-  std::vector<std::uint32_t>& order = ws.order;
-  // plglint-disable(hot-path-alloc): amortized — the worker-owned buffer
-  // grows to the chunk size once and is reused by every later chunk.
-  order.resize(count);
+  // The chunk's books live in locals and are published once at the end;
+  // the clock is read per query only when there is a deadline to check.
+  ChunkCounts cc;
+  const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < count; ++i) {
-    order[i] = static_cast<std::uint32_t>(i);
-  }
-  if (count > 1) {
-    const ShardMap& map = snap.shard_map();
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return map.shard_of(reqs[x].u) < map.shard_of(reqs[y].u);
-                     });
-  }
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = order[k];
-    const auto t0 = std::chrono::steady_clock::now();
     if (ctl.deadline &&
         (ctl.cancelled.load(std::memory_order_relaxed) ||
-         t0 >= *ctl.deadline)) {
+         std::chrono::steady_clock::now() >= *ctl.deadline)) {
       // Cooperative cancellation: this chunk (and, via the shared flag,
       // every other chunk of the batch) stops answering; everything
       // unanswered reports kDeadlineExceeded. Cancelled queries are not
-      // counted in m.queries — they were never served.
+      // counted in cc.queries — they were never served.
       ctl.cancelled.store(true, std::memory_order_relaxed);
-      for (std::size_t j = k; j < count; ++j) {
-        results[order[j]] =
-            QueryResult{QueryStatus::kDeadlineExceeded, false, -1};
+      for (std::size_t j = i; j < count; ++j) {
+        results[j] = QueryResult{QueryStatus::kDeadlineExceeded, false, -1};
       }
-      m.deadline_exceeded.fetch_add(count - k, std::memory_order_relaxed);
-      return;
+      cc.deadline_exceeded = count - i;
+      break;
     }
     const QueryRequest& q = reqs[i];
     QueryResult r;
     if (q.u >= n || q.v >= n) {
       r.status = QueryStatus::kOutOfRange;
-      m.range_errors.fetch_add(1, std::memory_order_relaxed);
+      ++cc.range_errors;
     } else if (snap.vertex_quarantined(q.u) || snap.vertex_quarantined(q.v)) {
       // The shard is already known-bad; answer in-band without touching
       // its bits. The healer is already on it.
       r.status = QueryStatus::kCorrupt;
-      m.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
+      ++cc.quarantine_hits;
     } else if (fault::should_fail_query()) {
       // Chaos: treat this fetch as a decode failure, exactly like the
       // catch below — including the shard tally that drives demotion.
       r.status = QueryStatus::kCorrupt;
-      m.corruptions.fetch_add(1, std::memory_order_relaxed);
+      ++cc.corruptions;
       note_shard_corruption(snap, q.u);
     } else {
       try {
@@ -177,35 +142,34 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
             (va = snap.view(q.u)) != nullptr &&
             (vb = snap.view(q.v)) != nullptr) {
           r.adjacent = label_view_adjacent(*va, *vb);
-          if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
-          m.view_hits.fetch_add(1, std::memory_order_relaxed);
+          ++cc.view_hits;
         } else {
           const Label la = snap.get(q.u);
           const Label lb = snap.get(q.v);
           if (opt_.kind == QueryKind::kAdjacency) {
             r.adjacent = thin_fat_adjacent(la, lb);
-            if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
           } else {
             const auto d = DistanceScheme::distance(la, lb);
             r.distance = d ? static_cast<std::int64_t>(*d) : -1;
-            if (d) m.positive.fetch_add(1, std::memory_order_relaxed);
           }
         }
+        if (r.adjacent || r.distance >= 0) ++cc.positive;
       } catch (const DecodeError&) {
         // Corruption fallback: the query reports kCorrupt instead of the
-        // exception escaping onto the worker thread. Serving continues,
-        // and the failing endpoint's shard may be quarantined.
+        // exception escaping the chunk. Serving continues, and the
+        // failing endpoint's shard may be quarantined.
         r.status = QueryStatus::kCorrupt;
-        m.corruptions.fetch_add(1, std::memory_order_relaxed);
+        ++cc.corruptions;
         if (const auto x = failed_endpoint(snap, q, opt_.kind)) {
           note_shard_corruption(snap, *x);
         }
       }
     }
     results[i] = r;
-    m.queries.fetch_add(1, std::memory_order_relaxed);
-    m.latency.record(elapsed_ns(t0, std::chrono::steady_clock::now()));
+    ++cc.queries;
   }
+  metrics_.slot(slot).publish(
+      cc, elapsed_ns(t0, std::chrono::steady_clock::now()));
 }
 
 std::vector<QueryResult> QueryService::query_batch(
@@ -218,15 +182,30 @@ std::vector<QueryResult> QueryService::query_batch(
   // latch confirms every chunk is done.
   const std::shared_ptr<const Snapshot> snap = store_.acquire();
   const std::size_t chunk = opt_.chunk;
-  const std::size_t nchunks = (batch.size() + chunk - 1) / chunk;
-  std::latch done(static_cast<std::ptrdiff_t>(nchunks));
+  const unsigned workers = pool_.size();
   BatchControl ctl;
   ctl.deadline = bopt.deadline;
 
-  for (std::size_t c = 0; c < nchunks; ++c) {
+  // This thread answers the last chunk itself, after queueing the others,
+  // so a batch of at most `chunk` queries never leaves the calling thread.
+  // Its own thread is the back-pressure, so that chunk is never shed. Its
+  // books go to the slot of the worker it would have been dealt to.
+  const std::size_t last = (batch.size() - 1) / chunk;
+  const auto run_last = [&] {
+    const std::size_t begin = last * chunk;
+    run_chunk(static_cast<unsigned>(last % workers), *snap, ctl,
+              batch.data() + begin, results.data() + begin,
+              batch.size() - begin);
+  };
+  if (last == 0) {
+    run_last();
+    return results;
+  }
+
+  std::latch done(static_cast<std::ptrdiff_t>(last));
+  for (std::size_t c = 0; c < last; ++c) {
     const std::size_t begin = c * chunk;
-    const std::size_t count = std::min(chunk, batch.size() - begin);
-    const unsigned worker = static_cast<unsigned>(c % pool_.size());
+    const unsigned worker = static_cast<unsigned>(c % workers);
     // The frame outlives every chunk (done.wait below), so jobs may
     // capture the batch/result spans, the control block, and the
     // snapshot by reference. The pool runs exactly one of run/shed per
@@ -235,31 +214,31 @@ std::vector<QueryResult> QueryService::query_batch(
     ThreadPool::Job job;
     job.run = [this, worker, &snap, &ctl, &done,
                reqs = batch.data() + begin, res = results.data() + begin,
-               count] {
-      run_chunk(worker, *snap, ctl, reqs, res, count);
+               chunk] {
+      run_chunk(worker, *snap, ctl, reqs, res, chunk);
       done.count_down();
     };
-    job.shed = [this, &done, res = results.data() + begin, count] {
+    job.shed = [this, &done, res = results.data() + begin, chunk] {
       // Runs on whichever thread hit the full queue (this one under
       // reject-new, a later submitter under drop-oldest) — never
       // concurrently with job.run, so writing the result span is safe.
-      for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t i = 0; i < chunk; ++i) {
         res[i] = QueryResult{QueryStatus::kOverloaded, false, -1};
       }
       SharedCounters& sc = metrics_.shared();
       sc.shed_chunks.fetch_add(1, std::memory_order_relaxed);
-      sc.shed_queries.fetch_add(count, std::memory_order_relaxed);
+      sc.shed_queries.fetch_add(chunk, std::memory_order_relaxed);
       done.count_down();
     };
     pool_.try_submit(worker, std::move(job));
   }
+  run_last();
   done.wait();
   return results;
 }
 
 QueryResult QueryService::query(const QueryRequest& req) {
-  // Routed through the pool as a batch of one: worker state must only
-  // ever be touched from its worker's thread.
+  // A batch of one, answered on this thread.
   return query_batch({req}).front();
 }
 

@@ -1,13 +1,17 @@
 // QueryService: the concurrent batch engine tying together the sharded
-// snapshot store, the per-worker thread pool, and the metrics registry.
+// snapshot store, the thread pool, and the metrics registry.
 //
 // The paper's schemes make adjacency decidable from two labels with no
 // shared graph state — an embarrassingly parallel query workload. The
-// engine exploits exactly that: a batch is split into fixed-size chunks,
-// chunks are dealt round-robin onto per-worker queues, and each worker
-// answers its chunk against an immutable Snapshot with zero cross-worker
-// communication. The only synchronization in a batch is one atomic
-// shared_ptr acquire at the start and one latch at the end.
+// engine exploits exactly that: a batch is split into fixed-size chunks;
+// every chunk but the last is dealt round-robin onto the pool's
+// per-worker queues, and the calling thread answers the last chunk
+// itself, so a batch of at most `chunk` queries never leaves the caller.
+// Chunks share nothing but the immutable Snapshot and the batch's
+// control block; there is no per-worker state. A chunk keeps its counts
+// in locals and publishes them once when it ends. The only
+// synchronization in a multi-chunk batch is one shared_ptr acquire at
+// the start and one latch at the end.
 //
 // Consistency model: query_batch() acquires the current snapshot once and
 // answers the whole batch from it. A reload() mid-batch affects only
@@ -18,11 +22,13 @@
 // shard fails its first-touch CRC, that fails its spot checksum, or whose
 // decode throws DecodeError yields kCorrupt and bumps the
 // corruption-fallback counter. Under overload
-// (bounded queues full) chunks are load-shed and their queries answer
-// kOverloaded — the batch still completes, because the pool guarantees a
-// shed chunk's fallback runs (and counts the latch down) in place of the
-// chunk itself. A batch past its deadline cancels cooperatively: workers
-// check the shared cancellation flag between queries, and everything
+// (bounded queues full) queued chunks are load-shed and their queries
+// answer kOverloaded — the batch still completes, because the pool
+// guarantees a shed chunk's fallback runs (and counts the latch down) in
+// place of the chunk itself. The chunk the caller answers is never shed:
+// its own thread is the back-pressure. A batch past its deadline cancels
+// cooperatively: every chunk checks the shared cancellation flag before
+// each query, and everything
 // unanswered returns kDeadlineExceeded. Queries routed to a quarantined
 // shard answer kCorrupt in-band. A shard is quarantined as soon as it
 // fails its first-touch CRC; repeated decode failures in a CRC-valid
@@ -79,7 +85,9 @@ struct QueryResult {
 };
 
 struct ServiceOptions {
-  unsigned threads = 0;          ///< worker count; 0 = hardware concurrency
+  /// Pool size; 0 = hardware concurrency. Up to this many workers plus
+  /// each calling thread answer queries at once.
+  unsigned threads = 0;
   std::size_t chunk = 256;       ///< queries per dispatched task
   bool spot_check = false;       ///< verify per-label checksum before decode
   QueryKind kind = QueryKind::kAdjacency;
@@ -149,10 +157,11 @@ class QueryService final : public BatchHandler {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Answers every request against one consistent snapshot. Blocks the
-  /// calling thread until the whole batch is done (every result slot is
-  /// written — answered, shed, or cancelled); safe to call from multiple
-  /// threads concurrently (batches interleave at chunk level).
+  /// Answers every request against one consistent snapshot. The calling
+  /// thread answers the last chunk and then waits for the rest, so it
+  /// returns once every result slot is written (answered, shed, or
+  /// cancelled); safe to call from multiple threads concurrently
+  /// (batches interleave at chunk level).
   std::vector<QueryResult> query_batch(const std::vector<QueryRequest>& batch,
                                        const BatchOptions& bopt) override;
 
@@ -161,8 +170,8 @@ class QueryService final : public BatchHandler {
     return query_batch(batch, BatchOptions{});
   }
 
-  /// Single-query convenience: a batch of one, run on the pool like any
-  /// batch.
+  /// Single-query convenience: a batch of one, answered on the calling
+  /// thread.
   QueryResult query(const QueryRequest& req);
 
   /// Atomically installs a new snapshot; in-flight batches finish on the
@@ -185,19 +194,21 @@ class QueryService final : public BatchHandler {
   ServiceStats stats() const override;
 
  private:
-  struct WorkerState;
-
-  /// Shared, caller-stack-owned control block for one batch. Workers
-  /// poll `cancelled` between queries; the submitting thread owns the
+  /// Shared, caller-stack-owned control block for one batch. Chunks
+  /// poll `cancelled` before each query; the submitting thread owns the
   /// lifetime (the latch in query_batch outlives every chunk).
   struct BatchControl {
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::atomic<bool> cancelled{false};
   };
 
-  void run_chunk(unsigned worker, const Snapshot& snap, BatchControl& ctl,
+  /// Answers one chunk on the calling thread and publishes its counts
+  /// into metrics slot `slot`. noexcept: a chunk the caller runs must not
+  /// unwind its batch while queued chunks still write into it, and an
+  /// exception on a pool thread ends the process anyway.
+  void run_chunk(unsigned slot, const Snapshot& snap, BatchControl& ctl,
                  const QueryRequest* reqs, QueryResult* results,
-                 std::size_t count);
+                 std::size_t count) noexcept;
 
   /// Cold path: records a query-time corruption against v's shard. A
   /// shard that failed its CRC is already quarantined, so this only
@@ -224,7 +235,6 @@ class QueryService final : public BatchHandler {
   SnapshotStore store_;
   ThreadPool pool_;
   MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<WorkerState>> states_;
 
   // Healer state. The condvar pairs with heal_mu_; the thread is joined
   // in the destructor before pool teardown.

@@ -5,6 +5,21 @@
 
 namespace plg::service {
 
+// plglint: noexcept-hot-path
+void WorkerMetrics::publish(const ChunkCounts& c,
+                            std::uint64_t elapsed_ns) noexcept {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  batches.fetch_add(1, kRelaxed);
+  queries.fetch_add(c.queries, kRelaxed);
+  positive.fetch_add(c.positive, kRelaxed);
+  view_hits.fetch_add(c.view_hits, kRelaxed);
+  corruptions.fetch_add(c.corruptions, kRelaxed);
+  range_errors.fetch_add(c.range_errors, kRelaxed);
+  deadline_exceeded.fetch_add(c.deadline_exceeded, kRelaxed);
+  quarantine_hits.fetch_add(c.quarantine_hits, kRelaxed);
+  if (c.queries != 0) latency.record(elapsed_ns / c.queries, c.queries);
+}
+
 ServiceStats MetricsRegistry::aggregate() const {
   ServiceStats out;
   out.workers = slots_.size();

@@ -1,19 +1,22 @@
 // Lock-free service observability: per-worker counters and latency
 // histograms, aggregated on demand into a JSON stats report.
 //
-// Design rule: the hot path never takes a lock and never writes a cache
-// line another worker writes. Each worker owns one cache-line-aligned
-// WorkerMetrics slot; counters are std::atomic<u64> incremented with
-// relaxed ordering (they are statistics, not synchronization — the only
-// requirement is no torn reads, which atomics give for free). Aggregation
-// (stats(), the cold path) reads every slot with relaxed loads; totals are
-// eventually consistent with in-flight increments, which is exactly the
-// precision a stats endpoint needs.
+// Design rule: the hot path never takes a lock and never touches a shared
+// cache line per query. The engine tallies a chunk's counts in plain
+// locals (ChunkCounts) and publishes them once per chunk into one of the
+// cache-line-aligned WorkerMetrics slots with relaxed fetch_adds (they are
+// statistics, not synchronization — the only requirement is no torn
+// reads, which atomics give for free). Aggregation (stats(), the cold
+// path) reads every slot with relaxed loads; totals are eventually
+// consistent with in-flight chunks, which is exactly the precision a
+// stats endpoint needs.
 //
 // Latency histogram: 64 power-of-two buckets of nanoseconds — bucket b
 // counts samples with floor(log2(ns)) == b (bucket 0 also takes 0 ns).
 // Log-scale buckets keep record() to a clz + one relaxed fetch_add and
-// bound quantile error to 2x, plenty for p50/p99 trend lines.
+// bound quantile error to 2x, plenty for p50/p99 trend lines. A chunk
+// records its mean per-query time once, weighted by the queries it
+// answered, so the bucket total always equals the query count.
 #pragma once
 
 #include <atomic>
@@ -39,9 +42,10 @@ constexpr std::uint64_t latency_bucket_floor(int b) noexcept {
 
 class LatencyHistogram {
  public:
+  /// Records `weight` samples of `ns` nanoseconds each.
   // plglint: noexcept-hot-path
-  void record(std::uint64_t ns) noexcept {
-    buckets_[latency_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
+  void record(std::uint64_t ns, std::uint64_t weight = 1) noexcept {
+    buckets_[latency_bucket(ns)].fetch_add(weight, std::memory_order_relaxed);
   }
 
   std::uint64_t bucket(int b) const noexcept {
@@ -52,32 +56,47 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> buckets_[kLatencyBuckets] = {};
 };
 
-/// One worker's slot. alignas(64) prevents false sharing between
-/// neighboring workers' counters (the histogram is already line-sized).
+/// One chunk's counts, kept in plain locals while the chunk runs and
+/// published with WorkerMetrics::publish when it ends.
+struct ChunkCounts {
+  std::uint64_t queries = 0;            ///< requests answered
+  std::uint64_t positive = 0;           ///< adjacent / within-f
+  std::uint64_t view_hits = 0;          ///< answered via decode plan
+  std::uint64_t corruptions = 0;        ///< decode / spot-check failures
+  std::uint64_t range_errors = 0;       ///< id out of snapshot
+  std::uint64_t deadline_exceeded = 0;  ///< queries cancelled
+  std::uint64_t quarantine_hits = 0;    ///< hit quarantined shard
+};
+
+/// One slot per pool worker. alignas(64) prevents false sharing between
+/// neighboring slots' counters (the histogram is already line-sized).
 ///
 /// Relaxed-atomic contract — why these members carry no PLG_GUARDED_BY
 /// and no mutex exists to name in one:
 ///
-///   * Single writer: slot w is incremented only from pool worker w's
-///     thread (the engine indexes metrics_.slot(worker) inside a job
-///     pinned to that worker), so increments never contend.
+///   * Several writers, one write per chunk: chunk c of a batch publishes
+///     into slot c mod W whether a pool worker or the calling thread ran
+///     it, so a slot may take concurrent fetch_adds from a worker and
+///     any number of callers. fetch_add is atomic however many writers
+///     contend, and contention is bounded by the chunk rate, never the
+///     query rate.
 ///   * Torn-read freedom is the only cross-thread requirement.
-///     aggregate() may run on any thread concurrently with increments;
+///     aggregate() may run on any thread concurrently with publishes;
 ///     std::atomic<u64> guarantees each individual load is untorn, and
 ///     relaxed ordering is sufficient because no reader derives a
 ///     happens-before edge from these values — they are statistics, not
-///     synchronization. A total that trails an in-flight increment by a
-///     few counts is within a stats endpoint's precision.
+///     synchronization. A total that trails an in-flight chunk is within
+///     a stats endpoint's precision.
 ///   * No invariant spans two counters (e.g. hits+misses == lookups is
 ///     only eventually true), so there is no multi-word state a lock
 ///     would be needed to make atomic.
 ///
 /// Under the thread-safety analysis this type is therefore correct with
-/// NO capability: adding a mutex here would put two atomic RMWs and a
-/// lock on the per-query path to protect data that needs neither. The
-/// plglint `mutex-guard` rule keeps the inverse honest — if a future
-/// change does add a mutex to this header, the build fails until
-/// something is declared PLG_GUARDED_BY it.
+/// NO capability: adding a mutex here would put a lock on the per-chunk
+/// path to protect data that needs none. The plglint `mutex-guard` rule
+/// keeps the inverse honest — if a future change does add a mutex to
+/// this header, the build fails until something is declared
+/// PLG_GUARDED_BY it.
 struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> queries{0};        ///< requests answered
   std::atomic<std::uint64_t> batches{0};        ///< chunks executed
@@ -87,18 +106,20 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> range_errors{0};   ///< id out of snapshot
   std::atomic<std::uint64_t> deadline_exceeded{0};  ///< queries cancelled
   std::atomic<std::uint64_t> quarantine_hits{0};    ///< hit quarantined shard
-  LatencyHistogram latency;                     ///< per-query latency (ns)
+  LatencyHistogram latency;  ///< per-query time, averaged per chunk (ns)
+
+  /// Publishes one finished chunk: one relaxed fetch_add per counter,
+  /// and the chunk's mean per-query time `elapsed_ns / c.queries`
+  /// recorded with weight c.queries.
+  void publish(const ChunkCounts& c, std::uint64_t elapsed_ns) noexcept;
 };
 
-/// Cross-thread counters that have no owning worker. Shed callbacks run
-/// on whichever thread hit the full queue, and heal attempts run on the
-/// healer thread — so unlike WorkerMetrics these are *multi*-writer.
-/// Still lock-free and relaxed for the same reason as above: they are
-/// statistics with no invariant spanning two counters, and fetch_add is
-/// atomic regardless of how many writers contend. The cost model
-/// differs, though: these RMWs can bounce a cache line between cores,
-/// which is acceptable precisely because they count *exceptional* events
-/// (shedding, healing), never the per-query hot path.
+/// Cross-thread counters that belong to no chunk. Shed callbacks run on
+/// whichever thread hit the full queue, and heal attempts run on the
+/// healer thread. Lock-free and relaxed for the same reason as above:
+/// they are statistics with no invariant spanning two counters. Every
+/// writer shares this one line, which is acceptable because they count
+/// *exceptional* events (shedding, healing), never the hot path.
 struct SharedCounters {
   std::atomic<std::uint64_t> shed_chunks{0};     ///< chunks load-shed
   std::atomic<std::uint64_t> shed_queries{0};    ///< queries in shed chunks

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -204,6 +206,105 @@ TEST(QueryService, BatchMatchesOracle) {
   // plans.
   EXPECT_EQ(stats.view_hits, batch.size());
   EXPECT_EQ(stats.corruptions, 0u);
+}
+
+// Every batch shape the engine splits differently (one query, a short
+// chunk, exactly one chunk, one over, several chunks plus a tail) on
+// every pool size, with queries stratified over the answers that matter:
+// real edges, fat x fat, thin x fat and out-of-range ids. Each answer
+// must match both oracles, and stats() must keep exact books.
+TEST(QueryService, BatchShapesMatchOracleAndKeepBooks) {
+  const Graph g = test_graph(500, 17);
+  const auto enc = test_encoding(g);
+  const std::uint64_t n = g.num_vertices();
+  std::vector<Vertex> fat, thin;
+  for (Vertex v = 0; v < n; ++v) {
+    (g.degree(v) >= enc.threshold ? fat : thin).push_back(v);
+  }
+  const std::vector<Edge> edges = g.edge_list();
+  ASSERT_GE(fat.size(), 2u);
+  ASSERT_FALSE(thin.empty());
+  ASSERT_FALSE(edges.empty());
+
+  Rng rng = stream_rng(0x5a5a, 0);
+  const auto pick = [&rng](const auto& from) {
+    return from[rng.next_below(from.size())];
+  };
+  const auto stratified = [&](std::size_t i) -> QueryRequest {
+    switch (i % 4) {
+      case 0: {
+        const Edge e = pick(edges);
+        return {e.u, e.v};
+      }
+      case 1:
+        return {pick(fat), pick(fat)};
+      case 2:
+        return {pick(thin), pick(fat)};
+      default: {
+        const std::uint64_t out = n + rng.next_below(n);
+        const std::uint64_t in = rng.next_below(n);
+        return (i / 4) % 2 == 0 ? QueryRequest{out, in}
+                                : QueryRequest{in, out};
+      }
+    }
+  };
+
+  constexpr std::size_t kChunk = 16;
+  const auto snap = Snapshot::build(enc.labeling, 4);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const std::size_t size :
+         {std::size_t{1}, kChunk - 1, kChunk, kChunk + 1, 5 * kChunk + 3}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " size=" + std::to_string(size));
+      QueryService svc(snap, {.threads = threads, .chunk = kChunk});
+      std::vector<QueryRequest> batch;
+      for (std::size_t i = 0; i < size; ++i) batch.push_back(stratified(i));
+
+      const auto results = svc.query_batch(batch);
+      ASSERT_EQ(results.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        const QueryRequest& q = batch[i];
+        if (q.u >= n || q.v >= n) {
+          EXPECT_EQ(results[i].status, QueryStatus::kOutOfRange);
+          continue;
+        }
+        const auto u = static_cast<Vertex>(q.u);
+        const auto v = static_cast<Vertex>(q.v);
+        ASSERT_EQ(results[i].status, QueryStatus::kOk) << u << "," << v;
+        EXPECT_EQ(results[i].adjacent,
+                  thin_fat_adjacent(enc.labeling[u], enc.labeling[v]));
+        EXPECT_EQ(results[i].adjacent, u != v && g.has_edge(u, v));
+      }
+
+      const std::uint64_t chunks = (size + kChunk - 1) / kChunk;
+      const auto bucket_total = [](const ServiceStats& s) {
+        std::uint64_t total = 0;
+        for (const std::uint64_t c : s.latency_buckets) total += c;
+        return total;
+      };
+      const ServiceStats s = svc.stats();
+      EXPECT_EQ(s.workers, threads);
+      EXPECT_EQ(s.queries, size);
+      EXPECT_EQ(bucket_total(s), s.queries);
+      EXPECT_EQ(s.batches, chunks);
+      EXPECT_EQ(s.view_hits + s.range_errors, s.queries);
+      EXPECT_EQ(s.deadline_exceeded, 0u);
+
+      // The same batch past its deadline: nothing is answered, every
+      // chunk still runs (and is counted), and no query is lost.
+      BatchOptions late;
+      late.deadline =
+          std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+      for (const QueryResult& r : svc.query_batch(batch, late)) {
+        EXPECT_EQ(r.status, QueryStatus::kDeadlineExceeded);
+      }
+      const ServiceStats t = svc.stats();
+      EXPECT_EQ(t.queries + t.deadline_exceeded, 2 * size);
+      EXPECT_EQ(t.queries, s.queries);
+      EXPECT_EQ(bucket_total(t), t.queries);
+      EXPECT_EQ(t.batches, 2 * chunks);
+    }
+  }
 }
 
 TEST(QueryService, OutOfRangeAndCorruptAreInBand) {

@@ -198,6 +198,59 @@ TEST(QueryServiceOverload, UncappedQueueNeverSheds) {
   EXPECT_EQ(svc.stats().shed_queries, 0u);
 }
 
+// A batch of at most `chunk` queries is answered on its caller's thread,
+// so a saturated pool cannot shed it: the caller is its own back-pressure.
+TEST(QueryServiceOverload, CallerChunkIsNeverShed) {
+  const Graph g = chaos_graph(200, 16);
+  const auto enc = thin_fat_encode(g, 12);
+  constexpr std::size_t kChunk = 4;
+  QueryService svc(Snapshot::build(enc.labeling, 4),
+                   {.threads = 1,
+                    .chunk = kChunk,
+                    .queue_cap = 1,
+                    .shed_policy = ShedPolicy::kRejectNew});
+  fault::ScopedFault fp(
+      fault::FaultPlan::parse_spec("stall-every=1,stall-ms=30"));
+
+  // Keep the single worker busy and its cap-1 queue full: two threads
+  // send 8-chunk batches back to back, so while one batch's chunk runs
+  // the other's waits in the queue, until the small batches are done.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hogs;
+  for (int h = 0; h < 2; ++h) {
+    hogs.emplace_back([&] {
+      const std::vector<QueryRequest> big(8 * kChunk, QueryRequest{1, 2});
+      while (!stop.load()) (void)svc.query_batch(big);
+    });
+  }
+  struct StopHogs {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& hogs;
+    ~StopHogs() {
+      stop.store(true);
+      for (auto& t : hogs) t.join();
+    }
+  } stop_hogs{stop, hogs};
+  ASSERT_TRUE(eventually([&] { return svc.stats().shed_chunks >= 16; },
+                         std::chrono::seconds(30)));
+
+  Rng rng = stream_rng(43, 1);
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t size = std::size_t{1} + round % kChunk;
+    std::vector<QueryRequest> small;
+    for (std::size_t i = 0; i < size; ++i) {
+      small.push_back({rng.next_below(g.num_vertices()),
+                       rng.next_below(g.num_vertices())});
+    }
+    const auto results = svc.query_batch(small);
+    ASSERT_EQ(results.size(), small.size());
+    for (std::size_t i = 0; i < small.size(); ++i) {
+      ASSERT_EQ(results[i].status, QueryStatus::kOk) << "size=" << size;
+      EXPECT_EQ(results[i].adjacent, oracle_adjacent(g, small[i]));
+    }
+  }
+}
+
 // ------------------------------------------------ deadlines/cancellation
 
 TEST(QueryServiceDeadline, ExpiredDeadlineCancelsEverything) {
