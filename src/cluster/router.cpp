@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <latch>
 #include <map>
 #include <utility>
 
@@ -74,8 +75,7 @@ bool decode_code(std::uint8_t byte, std::int64_t dist_value,
 Router::Router(ClusterConfig cfg, RouterOptions opt)
     : cfg_(std::move(cfg)),
       opt_(opt),
-      pool_(service::PoolOptions{opt.flow_threads, 0,
-                                 service::ShedPolicy::kRejectNew}) {
+      pool_(opt.flow_threads) {
   cfg_.validate();
   pref_ = cfg_.preference_lists();
   nodes_.reserve(cfg_.nodes.size());
@@ -135,37 +135,22 @@ std::vector<QueryResult> Router::query_batch(
     flows.push_back(Flow{sig, std::move(idx)});
   }
 
-  if (flows.size() == 1) {
-    run_flow(batch, flows[0], overall, results);
-  } else if (!flows.empty()) {
-    // Scatter flows across the worker pool; the latch lives on this
-    // stack frame and outlives every job (we wait before returning).
-    struct Latch {
-      util::Mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining PLG_GUARDED_BY(mu) = 0;
-    };
-    Latch latch;
-    {
-      util::MutexLock lk(latch.mu);
-      latch.remaining = flows.size();
-    }
-    for (const Flow& f : flows) {
-      const unsigned w = next_worker_.fetch_add(1, std::memory_order_relaxed);
-      pool_.submit(w, [this, &batch, &f, overall, &results, &latch] {
-        run_flow(batch, f, overall, results);
-        // Notify under the lock: the waiter destroys the stack latch as
-        // soon as it sees remaining==0, so the signal must complete
-        // before this job ever releases mu.
-        util::MutexLock lk(latch.mu);
-        --latch.remaining;
-        latch.cv.notify_one();
+  if (!flows.empty()) {
+    // Flows 0..k-2 go onto the pool and this thread runs the last one,
+    // so a single-flow batch never leaves the caller. The frame outlives
+    // every queued flow (done.wait below), so jobs capture it by
+    // reference.
+    const std::size_t last = flows.size() - 1;
+    std::latch done(static_cast<std::ptrdiff_t>(last));
+    for (std::size_t f = 0; f < last; ++f) {
+      pool_.submit([this, &batch, &flow = flows[f], overall, &results,
+                    &done] {
+        run_flow(batch, flow, overall, results);
+        done.count_down();
       });
     }
-    {
-      util::MutexLock lk(latch.mu);
-      while (latch.remaining > 0) lk.wait(latch.cv);
-    }
+    run_flow(batch, flows[last], overall, results);
+    done.wait();
   }
 
   {
@@ -178,7 +163,7 @@ std::vector<QueryResult> Router::query_batch(
 
 void Router::run_flow(const std::vector<QueryRequest>& batch, const Flow& flow,
                       Clock::time_point overall_deadline,
-                      std::vector<QueryResult>& results) {
+                      std::vector<QueryResult>& results) noexcept {
   // Degradation default: a slot nothing answers reads kUnavailable, so
   // the batch is always fully written no matter which path exits.
   for (const std::size_t i : flow.idx) {

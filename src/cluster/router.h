@@ -5,8 +5,10 @@
 //
 // A batch is split into *flows* keyed by the eligible-node signature
 // owners(u) ∩ owners(v) (non-empty by the ClusterConfig pair-coverage
-// invariant). Flows run concurrently on a small worker pool, one
-// in-flight exchange per flow:
+// invariant). Flows run concurrently, one in-flight exchange per flow:
+// every flow but the last goes onto a small worker pool's shared queue,
+// where any idle worker takes it, and the calling thread runs the last
+// one itself, as the engine does with chunks:
 //
 //   * Deadline budgets: every exchange gets min(per_try_ms, time left
 //     until the batch deadline); the batch call itself always returns
@@ -83,7 +85,7 @@ struct RouterOptions {
   std::uint32_t probe_tick_ms = 5;    ///< prober wakeup granularity
 
   // --- resources ---
-  unsigned flow_threads = 4;       ///< concurrent scatter workers
+  unsigned flow_threads = 4;       ///< scatter workers besides the caller
   std::size_t pool_cap = 8;        ///< idle connections kept per node
   std::size_t max_frame_payload = std::size_t{1} << 20;
 };
@@ -187,10 +189,13 @@ class Router final : public service::BatchHandler {
     std::vector<std::size_t> overloaded;  ///< in-band retriable leftovers
   };
 
+  /// noexcept: a flow the caller runs must not unwind its batch while
+  /// queued flows still write into it, and an exception on a pool thread
+  /// ends the process anyway.
   void run_flow(const std::vector<service::QueryRequest>& batch,
                 const Flow& flow,
                 std::chrono::steady_clock::time_point overall_deadline,
-                std::vector<service::QueryResult>& results);
+                std::vector<service::QueryResult>& results) noexcept;
 
   ExchangeOutcome exchange(const std::vector<service::QueryRequest>& batch,
                            const std::vector<std::size_t>& asked,
@@ -237,7 +242,6 @@ class Router final : public service::BatchHandler {
   std::vector<std::vector<std::uint32_t>> pref_;  ///< shard -> owners
   std::vector<std::unique_ptr<Node>> nodes_;
   service::ThreadPool pool_;
-  std::atomic<unsigned> next_worker_{0};
 
   // Router-level counters (relaxed; statistics only).
   std::atomic<std::uint64_t> batches_{0};

@@ -1,5 +1,6 @@
 #include "service/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <latch>
 #include <optional>
@@ -42,6 +43,15 @@ std::optional<std::uint64_t> failed_endpoint(const Snapshot& snap,
   return std::nullopt;
 }
 
+/// The pool for `opt`: ServiceOptions::queue_cap is a per-thread share,
+/// so the pool-wide cap is queue_cap x threads.
+PoolOptions pool_options(const ServiceOptions& opt) {
+  const unsigned threads =
+      opt.threads != 0 ? opt.threads
+                       : std::max(1u, std::thread::hardware_concurrency());
+  return PoolOptions{threads, opt.queue_cap * threads, opt.shed_policy};
+}
+
 }  // namespace
 
 QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
@@ -50,8 +60,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
       store_((snapshot ? std::move(snapshot)
                        : throw std::invalid_argument(
                              "QueryService: null snapshot"))),
-      pool_(PoolOptions{opt.threads, opt.queue_cap, opt.shed_policy}),
-      metrics_(pool_.size()) {
+      pool_(pool_options(opt)) {
   if (opt_.chunk == 0) opt_.chunk = 1;
   if (opt_.heal) {
     // Poke once before the thread exists: the initial snapshot may have
@@ -73,9 +82,8 @@ QueryService::~QueryService() {
 }
 
 // plglint: noexcept-hot-path
-void QueryService::run_chunk(unsigned slot, const Snapshot& snap,
-                             BatchControl& ctl, const QueryRequest* reqs,
-                             QueryResult* results,
+void QueryService::run_chunk(const Snapshot& snap, BatchControl& ctl,
+                             const QueryRequest* reqs, QueryResult* results,
                              std::size_t count) noexcept {
   const std::uint64_t n = snap.size();
 
@@ -168,8 +176,7 @@ void QueryService::run_chunk(unsigned slot, const Snapshot& snap,
     results[i] = r;
     ++cc.queries;
   }
-  metrics_.slot(slot).publish(
-      cc, elapsed_ns(t0, std::chrono::steady_clock::now()));
+  metrics_.publish(cc, elapsed_ns(t0, std::chrono::steady_clock::now()));
 }
 
 std::vector<QueryResult> QueryService::query_batch(
@@ -182,19 +189,16 @@ std::vector<QueryResult> QueryService::query_batch(
   // latch confirms every chunk is done.
   const std::shared_ptr<const Snapshot> snap = store_.acquire();
   const std::size_t chunk = opt_.chunk;
-  const unsigned workers = pool_.size();
   BatchControl ctl;
   ctl.deadline = bopt.deadline;
 
   // This thread answers the last chunk itself, after queueing the others,
   // so a batch of at most `chunk` queries never leaves the calling thread.
-  // Its own thread is the back-pressure, so that chunk is never shed. Its
-  // books go to the slot of the worker it would have been dealt to.
+  // Its own thread is the back-pressure, so that chunk is never shed.
   const std::size_t last = (batch.size() - 1) / chunk;
   const auto run_last = [&] {
     const std::size_t begin = last * chunk;
-    run_chunk(static_cast<unsigned>(last % workers), *snap, ctl,
-              batch.data() + begin, results.data() + begin,
+    run_chunk(*snap, ctl, batch.data() + begin, results.data() + begin,
               batch.size() - begin);
   };
   if (last == 0) {
@@ -205,17 +209,15 @@ std::vector<QueryResult> QueryService::query_batch(
   std::latch done(static_cast<std::ptrdiff_t>(last));
   for (std::size_t c = 0; c < last; ++c) {
     const std::size_t begin = c * chunk;
-    const unsigned worker = static_cast<unsigned>(c % workers);
     // The frame outlives every chunk (done.wait below), so jobs may
     // capture the batch/result spans, the control block, and the
     // snapshot by reference. The pool runs exactly one of run/shed per
     // chunk, so the latch always reaches zero — a shed chunk counts
     // down through its fallback.
     ThreadPool::Job job;
-    job.run = [this, worker, &snap, &ctl, &done,
-               reqs = batch.data() + begin, res = results.data() + begin,
-               chunk] {
-      run_chunk(worker, *snap, ctl, reqs, res, chunk);
+    job.run = [this, &snap, &ctl, &done, reqs = batch.data() + begin,
+               res = results.data() + begin, chunk] {
+      run_chunk(*snap, ctl, reqs, res, chunk);
       done.count_down();
     };
     job.shed = [this, &done, res = results.data() + begin, chunk] {
@@ -225,12 +227,11 @@ std::vector<QueryResult> QueryService::query_batch(
       for (std::size_t i = 0; i < chunk; ++i) {
         res[i] = QueryResult{QueryStatus::kOverloaded, false, -1};
       }
-      SharedCounters& sc = metrics_.shared();
-      sc.shed_chunks.fetch_add(1, std::memory_order_relaxed);
-      sc.shed_queries.fetch_add(chunk, std::memory_order_relaxed);
+      metrics_.shed_chunks.fetch_add(1, std::memory_order_relaxed);
+      metrics_.shed_queries.fetch_add(chunk, std::memory_order_relaxed);
       done.count_down();
     };
-    pool_.try_submit(worker, std::move(job));
+    pool_.try_submit(std::move(job));
   }
   run_last();
   done.wait();
@@ -292,20 +293,19 @@ void QueryService::note_shard_corruption(const Snapshot& snap,
   if (store_.swap_if(&snap, std::move(next))) poke_healer();
 }
 
-bool QueryService::heal_once(std::uint64_t attempt) {
+bool QueryService::heal_once() {
   std::shared_ptr<const Snapshot> snap = store_.acquire();
   bool all_clear = true;
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
     if (!snap->shard_quarantined(s) || !snap->shard_healable(s)) continue;
-    metrics_.shared().heal_attempts.fetch_add(1, std::memory_order_relaxed);
+    metrics_.heal_attempts.fetch_add(1, std::memory_order_relaxed);
     try {
       std::shared_ptr<const Snapshot> healed = snap->heal_shard(s);
       if (store_.swap_if(snap.get(), healed)) {
         // A successor that still quarantines s found the backing itself
         // corrupt: s is now unhealable, which is not a success.
         if (!healed->shard_quarantined(s)) {
-          metrics_.shared().heal_successes.fetch_add(
-              1, std::memory_order_relaxed);
+          metrics_.heal_successes.fetch_add(1, std::memory_order_relaxed);
         }
         // Keep healing the successor: remaining quarantined shards were
         // carried over by pointer.
@@ -321,7 +321,6 @@ bool QueryService::heal_once(std::uint64_t attempt) {
       all_clear = false;
     }
   }
-  (void)attempt;
   return all_clear;
 }
 
@@ -338,7 +337,7 @@ void QueryService::healer_main() {
     // (heal_seed, attempt) via stream_rng, so a seeded chaos run
     // produces the same heal schedule every time.
     std::uint64_t attempt = 0;
-    while (!heal_once(attempt)) {
+    while (!heal_once()) {
       ++attempt;
       const unsigned shift =
           attempt < 16 ? static_cast<unsigned>(attempt) : 16u;
@@ -355,7 +354,7 @@ void QueryService::healer_main() {
 }
 
 ServiceStats QueryService::stats() const {
-  ServiceStats s = metrics_.aggregate();
+  ServiceStats s = metrics_.aggregate(pool_.size());
   const auto snap = store_.acquire();
   s.snapshot_generation = store_.generation();
   s.snapshot_labels = snap->size();

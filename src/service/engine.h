@@ -4,12 +4,13 @@
 // The paper's schemes make adjacency decidable from two labels with no
 // shared graph state — an embarrassingly parallel query workload. The
 // engine exploits exactly that: a batch is split into fixed-size chunks;
-// every chunk but the last is dealt round-robin onto the pool's
-// per-worker queues, and the calling thread answers the last chunk
-// itself, so a batch of at most `chunk` queries never leaves the caller.
-// Chunks share nothing but the immutable Snapshot and the batch's
-// control block; there is no per-worker state. A chunk keeps its counts
-// in locals and publishes them once when it ends. The only
+// every chunk but the last goes onto the pool's one shared queue, where
+// any idle worker takes it, and the calling thread answers the last
+// chunk itself, so a batch of at most `chunk` queries never leaves the
+// caller. Chunks share nothing but the immutable Snapshot and the
+// batch's control block; no chunk needs a particular thread. A chunk
+// keeps its counts in locals and publishes them once when it ends. The
+// only
 // synchronization in a multi-chunk batch is one shared_ptr acquire at
 // the start and one latch at the end.
 //
@@ -22,7 +23,7 @@
 // shard fails its first-touch CRC, that fails its spot checksum, or whose
 // decode throws DecodeError yields kCorrupt and bumps the
 // corruption-fallback counter. Under overload
-// (bounded queues full) queued chunks are load-shed and their queries
+// (bounded queue full) queued chunks are load-shed and their queries
 // answer kOverloaded — the batch still completes, because the pool
 // guarantees a shed chunk's fallback runs (and counts the latch down) in
 // place of the chunk itself. The chunk the caller answers is never shed:
@@ -93,7 +94,9 @@ struct ServiceOptions {
   QueryKind kind = QueryKind::kAdjacency;
 
   // --- admission control (0 cap = unbounded, nothing ever shed) ---
-  std::size_t queue_cap = 0;     ///< per-worker queue bound, in chunks
+  /// Queued chunks allowed per pool thread: the pool sheds once
+  /// queue_cap x threads chunks wait in its one queue.
+  std::size_t queue_cap = 0;
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
 
   // --- quarantine & self-healing ---
@@ -178,7 +181,7 @@ class QueryService final : public BatchHandler {
   /// old one. Corruption tallies restart with the new snapshot's id.
   void reload(std::shared_ptr<const Snapshot> next);
 
-  /// Blocks until every worker queue is empty and every worker idle.
+  /// Blocks until the pool's queue is empty and every worker idle.
   /// Callers must stop submitting batches first (graceful shutdown).
   void drain() override;
 
@@ -202,11 +205,11 @@ class QueryService final : public BatchHandler {
     std::atomic<bool> cancelled{false};
   };
 
-  /// Answers one chunk on the calling thread and publishes its counts
-  /// into metrics slot `slot`. noexcept: a chunk the caller runs must not
-  /// unwind its batch while queued chunks still write into it, and an
-  /// exception on a pool thread ends the process anyway.
-  void run_chunk(unsigned slot, const Snapshot& snap, BatchControl& ctl,
+  /// Answers one chunk on the calling thread and publishes its counts.
+  /// noexcept: a chunk the caller runs must not unwind its batch while
+  /// queued chunks still write into it, and an exception on a pool
+  /// thread ends the process anyway.
+  void run_chunk(const Snapshot& snap, BatchControl& ctl,
                  const QueryRequest* reqs, QueryResult* results,
                  std::size_t count) noexcept;
 
@@ -229,12 +232,12 @@ class QueryService final : public BatchHandler {
 
   /// One heal pass over the current snapshot. Returns true when no
   /// healable quarantined shard remains (the healer can sleep).
-  bool heal_once(std::uint64_t attempt);
+  bool heal_once();
 
   ServiceOptions opt_;
   SnapshotStore store_;
   ThreadPool pool_;
-  MetricsRegistry metrics_;
+  EngineCounters metrics_;
 
   // Healer state. The condvar pairs with heal_mu_; the thread is joined
   // in the destructor before pool teardown.

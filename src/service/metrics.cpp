@@ -6,8 +6,8 @@
 namespace plg::service {
 
 // plglint: noexcept-hot-path
-void WorkerMetrics::publish(const ChunkCounts& c,
-                            std::uint64_t elapsed_ns) noexcept {
+void EngineCounters::publish(const ChunkCounts& c,
+                             std::uint64_t elapsed_ns) noexcept {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   batches.fetch_add(1, kRelaxed);
   queries.fetch_add(c.queries, kRelaxed);
@@ -20,28 +20,25 @@ void WorkerMetrics::publish(const ChunkCounts& c,
   if (c.queries != 0) latency.record(elapsed_ns / c.queries, c.queries);
 }
 
-ServiceStats MetricsRegistry::aggregate() const {
+ServiceStats EngineCounters::aggregate(unsigned workers) const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   ServiceStats out;
-  out.workers = slots_.size();
-  for (const WorkerMetrics& w : slots_) {
-    out.queries += w.queries.load(std::memory_order_relaxed);
-    out.batches += w.batches.load(std::memory_order_relaxed);
-    out.positive += w.positive.load(std::memory_order_relaxed);
-    out.view_hits += w.view_hits.load(std::memory_order_relaxed);
-    out.corruptions += w.corruptions.load(std::memory_order_relaxed);
-    out.range_errors += w.range_errors.load(std::memory_order_relaxed);
-    out.deadline_exceeded +=
-        w.deadline_exceeded.load(std::memory_order_relaxed);
-    out.quarantine_hits += w.quarantine_hits.load(std::memory_order_relaxed);
-    for (int b = 0; b < kLatencyBuckets; ++b) {
-      out.latency_buckets[b] += w.latency.bucket(b);
-    }
+  out.workers = workers;
+  out.queries = queries.load(kRelaxed);
+  out.batches = batches.load(kRelaxed);
+  out.positive = positive.load(kRelaxed);
+  out.view_hits = view_hits.load(kRelaxed);
+  out.corruptions = corruptions.load(kRelaxed);
+  out.range_errors = range_errors.load(kRelaxed);
+  out.deadline_exceeded = deadline_exceeded.load(kRelaxed);
+  out.quarantine_hits = quarantine_hits.load(kRelaxed);
+  out.shed_chunks = shed_chunks.load(kRelaxed);
+  out.shed_queries = shed_queries.load(kRelaxed);
+  out.heal_attempts = heal_attempts.load(kRelaxed);
+  out.heal_successes = heal_successes.load(kRelaxed);
+  for (int b = 0; b < kLatencyBuckets; ++b) {
+    out.latency_buckets[b] = latency.bucket(b);
   }
-  out.shed_chunks = shared_.shed_chunks.load(std::memory_order_relaxed);
-  out.shed_queries = shared_.shed_queries.load(std::memory_order_relaxed);
-  out.heal_attempts = shared_.heal_attempts.load(std::memory_order_relaxed);
-  out.heal_successes =
-      shared_.heal_successes.load(std::memory_order_relaxed);
   return out;
 }
 

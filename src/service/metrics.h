@@ -1,13 +1,13 @@
-// Lock-free service observability: per-worker counters and latency
-// histograms, aggregated on demand into a JSON stats report.
+// Lock-free service observability: the engine's counters and latency
+// histogram in one block, aggregated on demand into a JSON stats report.
 //
 // Design rule: the hot path never takes a lock and never touches a shared
 // cache line per query. The engine tallies a chunk's counts in plain
-// locals (ChunkCounts) and publishes them once per chunk into one of the
-// cache-line-aligned WorkerMetrics slots with relaxed fetch_adds (they are
-// statistics, not synchronization — the only requirement is no torn
+// locals (ChunkCounts) and publishes them once per chunk into the
+// cache-line-aligned EngineCounters block with relaxed fetch_adds (they
+// are statistics, not synchronization — the only requirement is no torn
 // reads, which atomics give for free). Aggregation (stats(), the cold
-// path) reads every slot with relaxed loads; totals are eventually
+// path) reads the block with relaxed loads; totals are eventually
 // consistent with in-flight chunks, which is exactly the precision a
 // stats endpoint needs.
 //
@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/thread_annotations.h"
 
@@ -57,7 +56,7 @@ class LatencyHistogram {
 };
 
 /// One chunk's counts, kept in plain locals while the chunk runs and
-/// published with WorkerMetrics::publish when it ends.
+/// published with EngineCounters::publish when it ends.
 struct ChunkCounts {
   std::uint64_t queries = 0;            ///< requests answered
   std::uint64_t positive = 0;           ///< adjacent / within-f
@@ -68,16 +67,18 @@ struct ChunkCounts {
   std::uint64_t quarantine_hits = 0;    ///< hit quarantined shard
 };
 
-/// One slot per pool worker. alignas(64) prevents false sharing between
-/// neighboring slots' counters (the histogram is already line-sized).
+struct ServiceStats;
+
+/// The engine's counters: one block, alignas(64) so it shares no line
+/// with its neighbors (the histogram is already line-sized).
 ///
 /// Relaxed-atomic contract — why these members carry no PLG_GUARDED_BY
 /// and no mutex exists to name in one:
 ///
-///   * Several writers, one write per chunk: chunk c of a batch publishes
-///     into slot c mod W whether a pool worker or the calling thread ran
-///     it, so a slot may take concurrent fetch_adds from a worker and
-///     any number of callers. fetch_add is atomic however many writers
+///   * Many writers, one write per chunk or event: every chunk publishes
+///     here, whether a pool worker or a calling thread ran it, and the
+///     shed and heal counters are bumped by whichever thread hit the full
+///     queue or ran the heal. fetch_add is atomic however many writers
 ///     contend, and contention is bounded by the chunk rate, never the
 ///     query rate.
 ///   * Torn-read freedom is the only cross-thread requirement.
@@ -97,7 +98,7 @@ struct ChunkCounts {
 /// keeps the inverse honest — if a future change does add a mutex to
 /// this header, the build fails until something is declared
 /// PLG_GUARDED_BY it.
-struct alignas(64) WorkerMetrics {
+struct alignas(64) EngineCounters {
   std::atomic<std::uint64_t> queries{0};        ///< requests answered
   std::atomic<std::uint64_t> batches{0};        ///< chunks executed
   std::atomic<std::uint64_t> positive{0};       ///< adjacent / within-f
@@ -106,34 +107,29 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> range_errors{0};   ///< id out of snapshot
   std::atomic<std::uint64_t> deadline_exceeded{0};  ///< queries cancelled
   std::atomic<std::uint64_t> quarantine_hits{0};    ///< hit quarantined shard
+  std::atomic<std::uint64_t> shed_chunks{0};     ///< chunks load-shed
+  std::atomic<std::uint64_t> shed_queries{0};    ///< queries in shed chunks
+  std::atomic<std::uint64_t> heal_attempts{0};   ///< shard heal tries
+  std::atomic<std::uint64_t> heal_successes{0};  ///< shards re-admitted
   LatencyHistogram latency;  ///< per-query time, averaged per chunk (ns)
 
   /// Publishes one finished chunk: one relaxed fetch_add per counter,
   /// and the chunk's mean per-query time `elapsed_ns / c.queries`
   /// recorded with weight c.queries.
   void publish(const ChunkCounts& c, std::uint64_t elapsed_ns) noexcept;
-};
 
-/// Cross-thread counters that belong to no chunk. Shed callbacks run on
-/// whichever thread hit the full queue, and heal attempts run on the
-/// healer thread. Lock-free and relaxed for the same reason as above:
-/// they are statistics with no invariant spanning two counters. Every
-/// writer shares this one line, which is acceptable because they count
-/// *exceptional* events (shedding, healing), never the hot path.
-struct SharedCounters {
-  std::atomic<std::uint64_t> shed_chunks{0};     ///< chunks load-shed
-  std::atomic<std::uint64_t> shed_queries{0};    ///< queries in shed chunks
-  std::atomic<std::uint64_t> heal_attempts{0};   ///< shard heal tries
-  std::atomic<std::uint64_t> heal_successes{0};  ///< shards re-admitted
+  /// Cold-path read of every counter; `workers` is the pool size STATS
+  /// reports. Lock-free by the relaxed-atomic contract above: the result
+  /// is a point-in-time estimate, not a linearizable snapshot. Safe to
+  /// call from any thread, concurrently with serving.
+  ServiceStats aggregate(unsigned workers) const;
 };
 
 /// Connection-plane counters for the TCP front-end (NetServer). Owned by
 /// the server, not the engine: a stdin-served process has no connection
-/// plane and reports all-zero. Multi-writer relaxed atomics by the same
-/// contract as SharedCounters — bytes_in/out and frame counts are
-/// bumped from the event-loop thread, rejected_admission from whichever
-/// dispatcher hit the full queue, and the stats aggregation may read
-/// concurrently from any thread.
+/// plane and reports all-zero. Relaxed atomics by the same contract as
+/// EngineCounters — every counter is bumped from the event-loop thread,
+/// and the stats aggregation may read concurrently from any thread.
 struct NetCounters {
   std::atomic<std::uint64_t> accepted{0};        ///< connections admitted
   std::atomic<std::uint64_t> rejected_accept{0};  ///< closed at accept (caps)
@@ -148,7 +144,7 @@ struct NetCounters {
   std::atomic<std::uint64_t> accept_errors{0};    ///< accept() hard errors
 };
 
-/// Plain-value aggregate of every worker slot at one instant.
+/// Plain-value read of every counter at one instant.
 struct ServiceStats {
   std::uint64_t workers = 0;
   std::uint64_t queries = 0;
@@ -195,36 +191,6 @@ struct ServiceStats {
   /// Serializes the whole report as a single-line JSON object (the
   /// `plgtool serve` STATS reply and the bench artifact schema).
   std::string to_json() const;
-};
-
-/// The registry: fixed worker count, slots allocated once, no resizing —
-/// pointers into it stay valid for the registry's lifetime.
-class MetricsRegistry {
- public:
-  explicit MetricsRegistry(unsigned workers) : slots_(workers) {}
-
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  WorkerMetrics& slot(unsigned worker) noexcept { return slots_[worker]; }
-  unsigned workers() const noexcept {
-    return static_cast<unsigned>(slots_.size());
-  }
-
-  /// The multi-writer exceptional-event counters (see SharedCounters).
-  SharedCounters& shared() noexcept { return shared_; }
-  const SharedCounters& shared() const noexcept { return shared_; }
-
-  /// Cold-path aggregation across all worker slots. Lock-free by the
-  /// WorkerMetrics relaxed-atomic contract above: every load is an
-  /// untorn relaxed atomic read, and the result is a point-in-time
-  /// estimate, not a linearizable snapshot. Safe to call from any
-  /// thread, concurrently with serving.
-  ServiceStats aggregate() const;
-
- private:
-  std::vector<WorkerMetrics> slots_;
-  SharedCounters shared_;
 };
 
 }  // namespace plg::service

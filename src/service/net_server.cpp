@@ -189,11 +189,9 @@ NetServer::~NetServer() {
 }
 
 void NetServer::start() {
+  dispatchers_.emplace(PoolOptions{opt_.dispatchers, opt_.dispatch_queue_cap,
+                                   ShedPolicy::kRejectNew});
   io_thread_ = std::thread(&NetServer::loop_main, this);
-  dispatchers_.reserve(opt_.dispatchers);
-  for (unsigned i = 0; i < opt_.dispatchers; ++i) {
-    dispatchers_.emplace_back(&NetServer::dispatcher_main, this);
-  }
 }
 
 void NetServer::stop() noexcept {
@@ -208,10 +206,9 @@ void NetServer::join() {
   if (joined_) return;
   joined_ = true;
   if (io_thread_.joinable()) io_thread_.join();
-  for (std::thread& t : dispatchers_) {
-    if (t.joinable()) t.join();
-  }
-  // Dispatchers are gone; nobody can write the eventfd any more.
+  // Retiring the pool runs every admitted frame, then joins; after that
+  // nobody can write the eventfd any more.
+  dispatchers_.reset();
   if (wake_fd_ >= 0) ::close(wake_fd_);
   wake_fd_ = -1;
   if (reserve_fd_ >= 0) ::close(reserve_fd_);
@@ -313,9 +310,9 @@ void NetServer::loop_main() {
     });
   }
 
-  // Teardown: force-close whatever survived, then release the loop's fds
-  // and let the dispatchers run down. wake_fd_/reserve_fd_ stay open
-  // until join() — dispatchers still write the eventfd.
+  // Teardown: force-close whatever survived, then release the loop's fds.
+  // wake_fd_/reserve_fd_ stay open until join() — dispatchers still
+  // write the eventfd.
   std::vector<std::uint64_t> all;
   all.reserve(conns_.size());
   for (const auto& [token, conn] : conns_) all.push_back(token);
@@ -324,11 +321,6 @@ void NetServer::loop_main() {
   listen_fd_ = -1;
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   epoll_fd_ = -1;
-  {
-    util::MutexLock lk(disp_mu_);
-    disp_stop_ = true;
-  }
-  disp_cv_.notify_all();
 }
 
 void NetServer::begin_drain() {
@@ -684,16 +676,8 @@ NetServer::FrameAction NetServer::admit_batch(Conn& c,
                    std::chrono::milliseconds(c.deadline_ms);
   }
 
-  bool shed = false;
-  {
-    util::MutexLock lk(disp_mu_);
-    if (disp_q_.size() >= opt_.dispatch_queue_cap) {
-      shed = true;
-    } else {
-      disp_q_.push_back(std::move(job));
-    }
-  }
-  if (shed) {
+  if (!dispatchers_->try_submit(ThreadPool::Job{
+          [this, job = std::move(job)] { dispatch(job); }, {}})) {
     // Global admission control: answer in-band with per-query
     // kOverloaded — the engine's shed contract, one layer earlier.
     net_.rejected_admission.fetch_add(1, std::memory_order_relaxed);
@@ -704,10 +688,8 @@ NetServer::FrameAction NetServer::admit_batch(Conn& c,
                                          overloaded));
     return FrameAction::kConsumed;
   }
-  disp_cv_.notify_one();
   c.inflight += 1;
   c.reserved_write += resp_size;
-  inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
   return FrameAction::kConsumed;
 }
 
@@ -859,7 +841,6 @@ void NetServer::drain_completions() {
     local.swap(comp_q_);
   }
   for (Completion& comp : local) {
-    inflight_jobs_.fetch_sub(1, std::memory_order_relaxed);
     auto it = conns_.find(comp.token);
     if (it == conns_.end()) continue;  // connection died mid-flight
     Conn& c = *it->second;
@@ -878,30 +859,20 @@ void NetServer::drain_completions() {
   }
 }
 
-void NetServer::dispatcher_main() {
-  for (;;) {
-    BatchJob job;
-    {
-      util::MutexLock lk(disp_mu_);
-      while (disp_q_.empty() && !disp_stop_) lk.wait(disp_cv_);
-      if (disp_q_.empty()) return;  // stopping, queue fully drained
-      job = std::move(disp_q_.front());
-      disp_q_.pop_front();
-    }
-    BatchOptions bopt;
-    bopt.deadline = job.deadline;
-    const std::vector<QueryResult> results =
-        handler_.query_batch(job.reqs, bopt);
-    Completion comp;
-    comp.token = job.token;
-    comp.bytes = encode_batch_response(job.verb, job.request_id, results);
-    {
-      util::MutexLock lk(comp_mu_);
-      comp_q_.push_back(std::move(comp));
-    }
-    const std::uint64_t one = 1;
-    util::io_write_all(wake_fd_, &one, sizeof(one));
+void NetServer::dispatch(const BatchJob& job) {
+  BatchOptions bopt;
+  bopt.deadline = job.deadline;
+  const std::vector<QueryResult> results =
+      handler_.query_batch(job.reqs, bopt);
+  Completion comp;
+  comp.token = job.token;
+  comp.bytes = encode_batch_response(job.verb, job.request_id, results);
+  {
+    util::MutexLock lk(comp_mu_);
+    comp_q_.push_back(std::move(comp));
   }
+  const std::uint64_t one = 1;
+  util::io_write_all(wake_fd_, &one, sizeof(one));
 }
 
 }  // namespace plg::service

@@ -1,17 +1,18 @@
 // NetServer: hostile-client-proof epoll TCP front-end for QueryService.
 //
-// Threading model — one IO thread, N dispatcher threads, zero locks on
-// the per-byte path:
+// Threading model — one IO thread, a pool of N dispatcher threads, zero
+// locks on the per-byte path:
 //
 //   * The IO thread owns epoll, the listener, the timer wheel, and ALL
 //     per-connection state (buffers, cursors, in-flight counts). No
 //     other thread ever touches a Conn, so the event loop runs lock-free
 //     and the thread-safety story is "single-threaded by construction".
-//   * Dispatchers pull admitted batch jobs from one bounded queue, run
-//     the blocking QueryService::query_batch, encode the response frame
-//     into a fresh byte vector, push it onto the completion queue, and
-//     wake the IO thread through an eventfd. The two queues are the only
-//     shared mutable state and each is guarded by one util::Mutex.
+//   * Admitted batch frames go onto a ThreadPool of dispatchers (one
+//     bounded shared queue). A dispatcher runs the blocking
+//     query_batch, encodes the response frame into a fresh byte vector,
+//     pushes it onto the completion queue, and wakes the IO thread
+//     through an eventfd. The pool's queue and the completion queue are
+//     the only shared mutable state, each guarded by one util::Mutex.
 //   * Connections are addressed by monotonically increasing u64 tokens,
 //     never pointers or fds — a completion for a connection that died
 //     mid-flight fails the token lookup and is dropped, so there is no
@@ -47,16 +48,16 @@
 // Graceful drain: stop() (or the external stop flag, typically SIGTERM)
 // closes the listener, stops admitting new frames, lets in-flight
 // batches complete, flushes write buffers, then force-closes whatever
-// remains at drain_timeout_ms. After the loop exits, dispatchers are
-// joined and the engine is drained.
+// remains at drain_timeout_ms. After the loop exits, the dispatcher pool
+// runs every admitted frame and is joined, and the engine is drained.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -65,6 +66,7 @@
 #include "service/engine.h"
 #include "service/frame.h"
 #include "service/metrics.h"
+#include "service/thread_pool.h"
 #include "service/timer_wheel.h"
 #include "util/locks.h"
 #include "util/thread_annotations.h"
@@ -132,7 +134,8 @@ class NetServer {
   /// stop flag instead.
   void stop() noexcept;
 
-  /// Blocks until the event loop and dispatchers have exited. Idempotent.
+  /// Blocks until the event loop has exited and every admitted frame has
+  /// been answered, then joins the dispatchers. Idempotent.
   void join();
 
   /// The bound (possibly ephemeral) port.
@@ -148,7 +151,7 @@ class NetServer {
   /// thread (see the threading model above) — deliberately no mutex.
   struct Conn;
 
-  /// One admitted batch frame, queued for a dispatcher.
+  /// One admitted batch frame, queued on the dispatcher pool.
   struct BatchJob {
     std::uint64_t token = 0;
     wire::Verb verb = wire::Verb::kAdjBatch;
@@ -172,7 +175,9 @@ class NetServer {
   };
 
   void loop_main();
-  void dispatcher_main();
+  /// Dispatcher pool job: answers one admitted frame and hands the
+  /// encoded response to the IO thread.
+  void dispatch(const BatchJob& job);
 
   void do_accept();
   void handle_read(Conn& c);
@@ -221,19 +226,14 @@ class NetServer {
   // --- cross-thread state ---
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> open_conns_{0};
-  /// Frames admitted to dispatchers but not yet completed (drain gate).
-  std::atomic<std::uint64_t> inflight_jobs_{0};
-
-  util::Mutex disp_mu_;
-  std::condition_variable disp_cv_;
-  std::deque<BatchJob> disp_q_ PLG_GUARDED_BY(disp_mu_);
-  bool disp_stop_ PLG_GUARDED_BY(disp_mu_) = false;
 
   util::Mutex comp_mu_;
   std::deque<Completion> comp_q_ PLG_GUARDED_BY(comp_mu_);
 
   std::thread io_thread_;
-  std::vector<std::thread> dispatchers_;
+  /// Created by start(), retired by join() before wake_fd_ closes: its
+  /// jobs write the eventfd.
+  std::optional<ThreadPool> dispatchers_;
   bool joined_ = false;
 };
 

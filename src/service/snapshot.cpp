@@ -40,8 +40,7 @@ void for_each_shard(std::size_t count, unsigned workers,
   {
     ThreadPool pool(workers);
     for (std::size_t s = 0; s < count; ++s) {
-      pool.submit(static_cast<unsigned>(s % workers), [&job, &first_error,
-                                                       &error, s] {
+      pool.submit([&job, &first_error, &error, s] {
         try {
           job(s);
         } catch (...) {
@@ -50,7 +49,7 @@ void for_each_shard(std::size_t count, unsigned workers,
         }
       });
     }
-  }  // ~ThreadPool drains every queue and joins
+  }  // ~ThreadPool drains the queue and joins
   if (error) std::rethrow_exception(error);
 }
 

@@ -12,114 +12,85 @@ ThreadPool::ThreadPool(const PoolOptions& opt)
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
-  workers_.reserve(workers);
+  threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  // Spawn only after the vector is fully built: run() never touches
-  // workers_, but the destructor relies on every element existing.
-  for (auto& w : workers_) {
-    Worker* raw = w.get();
-    raw->thread = std::thread([this, raw] { run(*raw); });
+    threads_.emplace_back([this] { run(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  for (auto& w : workers_) {
-    {
-      util::MutexLock lock(w->mu);
-      w->stop = true;
-    }
-    w->cv.notify_all();
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-}
-
-void ThreadPool::submit(unsigned worker, std::function<void()> job) {
-  Worker& w = *workers_[worker % workers_.size()];
   {
-    util::MutexLock lock(w.mu);
-    if (w.stop) {
-      throw std::logic_error("ThreadPool::submit after shutdown");
-    }
-    w.queue.push_back(Job{std::move(job), {}});
+    util::MutexLock lock(mu_);
+    stop_ = true;
   }
-  w.cv.notify_all();
+  work_cv_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
-bool ThreadPool::try_submit(unsigned worker, Job job) {
-  Worker& w = *workers_[worker % workers_.size()];
+void ThreadPool::submit(std::function<void()> job) {
+  {
+    util::MutexLock lock(mu_);
+    if (stop_) throw std::logic_error("ThreadPool::submit after shutdown");
+    queue_.push_back(Job{std::move(job), {}});
+  }
+  work_cv_.notify_one();
+}
+
+bool ThreadPool::try_submit(Job job) {
   // A displaced job's shed callback runs outside the lock: shed handlers
-  // touch caller state (results arrays, latches, metrics), and holding a
-  // worker mutex across arbitrary user code invites lock-order cycles.
+  // touch caller state (results arrays, latches, metrics), and holding
+  // the pool mutex across arbitrary user code invites lock-order cycles.
   std::function<void()> displaced_shed;
   bool admitted = true;
   {
-    util::MutexLock lock(w.mu);
-    if (w.stop) {
+    util::MutexLock lock(mu_);
+    if (stop_) {
       throw std::logic_error("ThreadPool::try_submit after shutdown");
     }
-    if (queue_cap_ > 0 && w.queue.size() >= queue_cap_) {
+    if (queue_cap_ > 0 && queue_.size() >= queue_cap_) {
       if (shed_policy_ == ShedPolicy::kRejectNew) {
         admitted = false;
       } else {
-        displaced_shed = std::move(w.queue.front().shed);
-        w.queue.pop_front();
-        w.queue.push_back(std::move(job));
+        displaced_shed = std::move(queue_.front().shed);
+        queue_.pop_front();
       }
-    } else {
-      w.queue.push_back(std::move(job));
     }
+    if (admitted) queue_.push_back(std::move(job));
   }
-  if (admitted) w.cv.notify_all();
   if (!admitted) {
     if (job.shed) job.shed();
     return false;
   }
+  work_cv_.notify_one();
   if (displaced_shed) displaced_shed();
   return true;
 }
 
 void ThreadPool::drain() {
-  for (auto& wp : workers_) {
-    Worker& w = *wp;
-    util::MutexLock lock(w.mu);
-    while (!(w.queue.empty() && !w.busy) && !w.stop) lock.wait(w.cv);
-  }
+  util::MutexLock lock(mu_);
+  while (!queue_.empty() || busy_ != 0) lock.wait(idle_cv_);
 }
 
-void ThreadPool::run(Worker& w) {
+void ThreadPool::run() {
+  bool ran = false;
   for (;;) {
     Job job;
     {
-      util::MutexLock lock(w.mu);
-      // Explicit predicate loop instead of cv.wait(lock, pred): the
-      // analysis does not propagate lock state into the predicate
-      // lambda, so guarded reads of w.stop / w.queue must be spelled in
-      // this scope, where it can see MutexLock holding w.mu.
-      while (!w.stop && w.queue.empty()) lock.wait(w.cv);
-      if (w.queue.empty()) {
-        // stop requested and queue drained; wake any drain() waiter so
-        // it observes w.stop rather than blocking forever.
-        w.cv.notify_all();
-        return;
-      }
-      job = std::move(w.queue.front());
-      w.queue.pop_front();
-      w.busy = true;
+      util::MutexLock lock(mu_);
+      // One lock round trip per job: retire the previous job and take
+      // the next. Explicit predicate loop instead of cv.wait(lock,
+      // pred): the analysis does not propagate lock state into the
+      // predicate lambda, so guarded reads must be spelled in this
+      // scope, where it can see MutexLock holding mu_.
+      if (ran && --busy_ == 0 && queue_.empty()) idle_cv_.notify_all();
+      while (!stop_ && queue_.empty()) lock.wait(work_cv_);
+      if (queue_.empty()) return;  // stop requested and queue drained
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      ++busy_;
     }
     if (job.run) job.run();
-    bool idle = false;
-    {
-      util::MutexLock lock(w.mu);
-      w.busy = false;
-      idle = w.queue.empty();
-    }
-    // Single condvar serves both roles: submitters notify workers, and
-    // workers notify drain() when they go idle with an empty queue.
-    if (idle) w.cv.notify_all();
+    ran = true;
   }
 }
 

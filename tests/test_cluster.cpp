@@ -536,6 +536,45 @@ TEST(ClusterRouter, AllReplicasDownAnswersUnavailableInBoundedTime) {
   EXPECT_EQ(router.unavailable_queries(), qs.size());
 }
 
+TEST(ClusterRouter, MultiFlowBatchWithOneFlowThread) {
+  const AdjCorpus corpus;
+  ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
+  RouterOptions opt = fast_router_opts();
+  opt.flow_threads = 1;
+  Router router(h.cfg, opt);
+
+  // Real edges as well as random pairs, so the oracle sees positives.
+  auto qs = random_pairs(300, corpus.g.num_vertices(), 77);
+  const std::vector<Edge> edges = corpus.g.edge_list();
+  ASSERT_GE(edges.size(), 100u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    const Edge& e = edges[i * (edges.size() / 100)];
+    qs.emplace_back(e.u, e.v);
+  }
+  // Several flows: the pool's one thread takes all but the last, which
+  // the calling thread runs.
+  std::vector<std::vector<std::uint32_t>> sigs;
+  for (const auto& [u, v] : qs) {
+    const auto elig = h.cfg.eligible_nodes(u, v);
+    if (std::find(sigs.begin(), sigs.end(), elig) == sigs.end()) {
+      sigs.push_back(elig);
+    }
+  }
+  ASSERT_GT(sigs.size(), 2u);
+
+  const auto results = run_batch(router, qs);
+  ASSERT_EQ(results.size(), qs.size());
+  std::size_t positives = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ASSERT_EQ(results[i].status, QueryStatus::kOk) << "query " << i;
+    EXPECT_EQ(results[i].adjacent, corpus.adjacent(qs[i].first, qs[i].second))
+        << "query " << i;
+    positives += results[i].adjacent ? 1 : 0;
+  }
+  EXPECT_GE(positives, 100u);
+  EXPECT_EQ(router.unavailable_queries(), 0u);
+}
+
 TEST(ClusterRouter, PartialOutageUnavailableOnlyForDeadKeyRanges) {
   const AdjCorpus corpus;
   ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -117,11 +119,11 @@ TEST(SnapshotStore, SwapBumpsGenerationAndRetiresOld) {
 // -------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, JobsOnOneWorkerRunInOrder) {
-  ThreadPool pool(3);
+  ThreadPool pool(1);
   std::vector<int> order;
   std::atomic<int> remaining{100};
   for (int i = 0; i < 100; ++i) {
-    pool.submit(1, [&order, &remaining, i] {
+    pool.submit([&order, &remaining, i] {
       order.push_back(i);  // single worker: no lock needed
       remaining.fetch_sub(1, std::memory_order_release);
     });
@@ -138,12 +140,32 @@ TEST(ThreadPool, DestructorDrainsPendingJobs) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 50; ++i) {
-      pool.submit(static_cast<unsigned>(i), [&ran] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
+      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
   }  // destructor joins after draining
   EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ThreadPool, IdleWorkerTakesJobQueuedBehindStalledOne) {
+  ThreadPool pool(2);
+  std::latch gate(1);
+  std::atomic<bool> stalled_done{false};
+  std::promise<void> second_done;
+  std::future<void> second = second_done.get_future();
+  // Queued back to back: the second job sits behind one that cannot
+  // finish until the gate opens, so only the other worker can run it.
+  pool.submit([&gate, &stalled_done] {
+    gate.wait();
+    stalled_done.store(true, std::memory_order_release);
+  });
+  pool.submit([&second_done] { second_done.set_value(); });
+  const bool second_ran =
+      second.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const bool stalled_still_blocked =
+      !stalled_done.load(std::memory_order_acquire);
+  gate.count_down();  // before any assertion, so the pool can join
+  EXPECT_TRUE(second_ran);
+  EXPECT_TRUE(stalled_still_blocked);
 }
 
 // ----------------------------------------------------------------- Metrics
@@ -162,13 +184,13 @@ TEST(Metrics, LatencyBucketsAndQuantiles) {
   EXPECT_EQ(s.latency_quantile_ns(0.99), 1024u);
 }
 
-TEST(Metrics, AggregateSumsWorkerSlots) {
-  MetricsRegistry reg(3);
+TEST(Metrics, AggregateReadsCountersAndPoolSize) {
+  EngineCounters counters;
   for (unsigned w = 0; w < 3; ++w) {
-    reg.slot(w).queries.fetch_add(10 * (w + 1));
-    reg.slot(w).latency.record(100);
+    counters.queries.fetch_add(10 * (w + 1));
+    counters.latency.record(100);
   }
-  const ServiceStats s = reg.aggregate();
+  const ServiceStats s = counters.aggregate(3);
   EXPECT_EQ(s.workers, 3u);
   EXPECT_EQ(s.queries, 60u);
   EXPECT_EQ(s.latency_buckets[latency_bucket(100)], 3u);

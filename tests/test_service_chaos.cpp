@@ -68,7 +68,7 @@ TEST(ThreadPoolAdmission, RejectNewShedsTheIncomingJob) {
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<int> ran{0}, shed{0};
-  pool.submit(0, [&started, &release] {
+  pool.submit([&started, &release] {
     started.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -81,10 +81,9 @@ TEST(ThreadPoolAdmission, RejectNewShedsTheIncomingJob) {
   // rejected and their shed callbacks run inline on this thread.
   int rejected = 0;
   for (int i = 0; i < 6; ++i) {
-    const bool ok = pool.try_submit(
-        0, ThreadPool::Job{
-               [&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-               [&shed] { shed.fetch_add(1, std::memory_order_relaxed); }});
+    const bool ok = pool.try_submit(ThreadPool::Job{
+        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
+        [&shed] { shed.fetch_add(1, std::memory_order_relaxed); }});
     if (!ok) ++rejected;
   }
   EXPECT_EQ(rejected, 4);
@@ -100,7 +99,7 @@ TEST(ThreadPoolAdmission, DropOldestShedsTheQueueHead) {
   ThreadPool pool(PoolOptions{1, 2, ShedPolicy::kDropOldest});
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
-  pool.submit(0, [&started, &release] {
+  pool.submit([&started, &release] {
     started.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -114,8 +113,8 @@ TEST(ThreadPoolAdmission, DropOldestShedsTheQueueHead) {
   std::vector<int> ran_ids, shed_ids;
   for (int i = 0; i < 5; ++i) {
     const bool ok = pool.try_submit(
-        0, ThreadPool::Job{[&ran_ids, i] { ran_ids.push_back(i); },
-                           [&shed_ids, i] { shed_ids.push_back(i); }});
+        ThreadPool::Job{[&ran_ids, i] { ran_ids.push_back(i); },
+                        [&shed_ids, i] { shed_ids.push_back(i); }});
     EXPECT_TRUE(ok);  // drop-oldest always admits the new job
   }
   release.store(true, std::memory_order_release);
@@ -132,13 +131,55 @@ TEST(ThreadPoolAdmission, DrainWaitsForQueuedAndRunningJobs) {
   ThreadPool pool(PoolOptions{2, 0, ShedPolicy::kRejectNew});
   std::atomic<int> done{0};
   for (int i = 0; i < 8; ++i) {
-    pool.submit(static_cast<unsigned>(i), [&done] {
+    pool.submit([&done] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       done.fetch_add(1, std::memory_order_relaxed);
     });
   }
   pool.drain();
   EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPoolAdmission, CapIsPoolWide) {
+  constexpr std::size_t kCap = 3;
+  ThreadPool pool(PoolOptions{2, kCap, ShedPolicy::kRejectNew});
+  // Occupy both workers, so every later job waits in the queue.
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&started, &release] {
+      started.fetch_add(1, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (started.load(std::memory_order_acquire) != 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  if (started.load(std::memory_order_acquire) != 2) {
+    release.store(true, std::memory_order_release);
+    FAIL() << "two idle workers must each take one gate job";
+  }
+  // The cap bounds the pool's one queue, not each worker's share: kCap
+  // jobs in all are admitted, and the next one is shed.
+  std::atomic<int> ran{0}, shed{0};
+  std::vector<bool> admitted;
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    admitted.push_back(pool.try_submit(ThreadPool::Job{
+        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
+        [&shed] { shed.fetch_add(1, std::memory_order_relaxed); }}));
+  }
+  release.store(true, std::memory_order_release);
+  pool.drain();
+  std::vector<bool> expected(kCap, true);
+  expected.push_back(false);
+  EXPECT_EQ(admitted, expected);
+  EXPECT_EQ(ran.load(), static_cast<int>(kCap));
+  EXPECT_EQ(shed.load(), 1);
 }
 
 // ---------------------------------------------------- overload shedding

@@ -44,9 +44,9 @@
 //       served from an S-shard v3 image (a v1/v2 store is converted on
 //       load; a v3 store is mapped with its own partition), each shard
 //       CRC-checked on first touch, and queries fan out over T
-//       workers. --queue-cap bounds each worker's queue (in chunks); a
-//       full queue load-sheds per --shed-policy and the shed
-//       queries answer "overloaded" in-band. EOF, SIGINT, and SIGTERM
+//       workers. --queue-cap N bounds the workers' shared queue to
+//       T x N chunks; a full queue load-sheds per --shed-policy and
+//       the shed queries answer "overloaded" in-band. EOF, SIGINT, and SIGTERM
 //       drain in-flight batches and flush a final STATS line.
 //       With --tcp <port> the same engine is served over the binary
 //       length-prefixed TCP protocol instead (src/service/frame.h):
@@ -194,7 +194,7 @@ struct Flags {
   bool spot_check = false;                // serve: checksum every decode
   bool fast = false;                      // lquery: zero-copy decode plans
   std::string scheme = "thin-fat";        // serve: which decoder
-  std::optional<std::size_t> queue_cap;   // serve: per-worker queue bound
+  std::optional<std::size_t> queue_cap;   // serve: queued chunks per thread
   std::string shed_policy = "reject";     // serve: reject | drop-oldest
   std::optional<int> tcp;                 // serve: TCP port (0 = ephemeral)
   std::optional<std::size_t> max_conns;   // serve: connection cap
