@@ -16,7 +16,9 @@
 //      vs OFF. Unhedged, a stalled primary costs the full per-try
 //      timeout; hedged, it costs one (cold-histogram) hedge delay. The
 //      ratio is the CI gate — it is machine-independent in a way raw
-//      qps is not, because both sides stall on the same clocks.
+//      qps is not, because both sides stall on the same clocks. Three
+//      interleaved unhedged/hedged pairs run; the median pair's ratio is
+//      reported, and every pair is listed under stall.trials.
 //
 // Every scenario oracle-checks a query sample against the graph before
 // timing anything: a router that loses or misroutes answers fast is not
@@ -24,6 +26,7 @@
 //
 // Usage: bench_cluster [n] [avg_deg] [queries] [conns] [batch]
 //   defaults:          65536  8.0     200000    4       512
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -347,11 +350,12 @@ int main(int argc, char** argv) {
   stall_cfg.key_shards = 64;
   stall_cfg.seed = 0x5eed;
 
+  // One stall trial: kStallBatches batches through a fresh router with
+  // hedging on or off; returns the p99 batch latency in ms (negative on
+  // a wrong answer, which fails the run).
   const int kStallBatches = 60;
   const std::size_t kStallBatch = 256;
-  double p99_ms[2] = {0.0, 0.0};
-  std::uint64_t hedge_wins = 0;
-  for (const bool hedged : {false, true}) {
+  auto stall_trial = [&](bool hedged, std::uint64_t& hedge_wins) -> double {
     cluster::RouterOptions ropt;
     ropt.per_try_ms = 200;
     ropt.batch_budget_ms = 10'000;
@@ -385,25 +389,59 @@ int main(int argc, char** argv) {
                        "bench_cluster: stall-phase wrong answer "
                        "(hedged=%d batch=%d query=%zu)\n",
                        hedged ? 1 : 0, b, i);
-          return 1;
+          return -1.0;
         }
       }
       lat.record(std::chrono::duration<double, std::nano>(t1 - t0).count());
     }
-    p99_ms[hedged ? 1 : 0] = lat.p99() / 1e6;
-    if (hedged) {
-      for (std::uint32_t nn = 0; nn < 2; ++nn) {
-        hedge_wins += router.node_stats(nn).hedge_wins;
-      }
+    hedge_wins = 0;
+    for (std::uint32_t nn = 0; nn < 2; ++nn) {
+      hedge_wins += router.node_stats(nn).hedge_wins;
     }
-    std::printf("  stalled node, hedge=%s:  p99 batch = %8.1f ms\n",
-                hedged ? "on " : "off", p99_ms[hedged ? 1 : 0]);
+    return lat.p99() / 1e6;
+  };
+
+  // A single trial's p99 is the 1-in-100 batch of 60, so one noisy
+  // batch moves it: run kStallTrials unhedged/hedged pairs, interleaved
+  // so host noise hits both sides alike, and report the median pair.
+  struct StallPair {
+    double p99_ms[2] = {0.0, 0.0};  ///< [unhedged, hedged]
+    std::uint64_t hedge_wins = 0;
+    double improvement = 0.0;
+  };
+  const int kStallTrials = 3;
+  std::vector<StallPair> trials(kStallTrials);
+  for (StallPair& t : trials) {
+    for (const bool hedged : {false, true}) {
+      std::uint64_t wins = 0;
+      const double p99 = stall_trial(hedged, wins);
+      if (p99 < 0.0) return 1;
+      t.p99_ms[hedged ? 1 : 0] = p99;
+      if (hedged) t.hedge_wins = wins;
+      std::printf("  stalled node, hedge=%s:  p99 batch = %8.1f ms\n",
+                  hedged ? "on " : "off", p99);
+    }
+    t.improvement = t.p99_ms[1] > 0.0 ? t.p99_ms[0] / t.p99_ms[1] : 0.0;
   }
-  const double improvement =
-      p99_ms[1] > 0.0 ? p99_ms[0] / p99_ms[1] : 0.0;
-  std::printf("  hedging p99 improvement: %.1fx (hedge wins: %" PRIu64
-              ")\n",
-              improvement, hedge_wins);
+  std::vector<StallPair> sorted = trials;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const StallPair& a, const StallPair& b) {
+              return a.improvement < b.improvement;
+            });
+  const StallPair& median = sorted[sorted.size() / 2];
+  std::printf("  hedging p99 improvement: %.1fx median of %d (hedge wins: "
+              "%" PRIu64 ")\n",
+              median.improvement, kStallTrials, median.hedge_wins);
+  std::string trials_json;
+  for (const StallPair& t : trials) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"p99_unhedged_ms\":%.1f,\"p99_hedged_ms\":%.1f,"
+                  "\"p99_improvement\":%.2f,\"hedge_wins\":%" PRIu64 "}",
+                  trials_json.empty() ? "" : ",", t.p99_ms[0], t.p99_ms[1],
+                  t.improvement, t.hedge_wins);
+    trials_json += buf;
+  }
 
   full_node.stop();
   full_node.join();
@@ -419,10 +457,12 @@ int main(int argc, char** argv) {
         "\"vs_single\":%.3f},"
         "\"stall\":{\"batches\":%d,\"batch_size\":%zu,"
         "\"p99_unhedged_ms\":%.1f,\"p99_hedged_ms\":%.1f,"
-        "\"p99_improvement\":%.2f,\"hedge_wins\":%" PRIu64 "}}\n",
+        "\"p99_improvement\":%.2f,\"hedge_wins\":%" PRIu64
+        ",\"trials\":[%s]}}\n",
         bench::workload_json(wl).c_str(), total_queries, conns, kBatch,
         single_qps, cluster_qps, cluster_qps / single_qps, kStallBatches,
-        kStallBatch, p99_ms[0], p99_ms[1], improvement, hedge_wins);
+        kStallBatch, median.p99_ms[0], median.p99_ms[1], median.improvement,
+        median.hedge_wins, trials_json.c_str());
     std::fclose(f);
     std::printf("  wrote %s\n", out_path);
   } else {

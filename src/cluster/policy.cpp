@@ -15,14 +15,20 @@ std::uint32_t backoff_ms(const RetryPolicy& p, std::uint64_t stream,
   const std::uint32_t shift = std::min<std::uint32_t>(retry_index - 1, 20);
   const std::uint64_t raw = std::uint64_t{base} << shift;
   const std::uint64_t capped = std::min<std::uint64_t>(raw, cap);
-  // +-50% jitter, deterministic per (seed, stream, retry_index): the
-  // rng stream is keyed by node, and we discard retry_index-1 draws so
-  // consecutive retries see successive values of one stream.
+  // +-50% jitter, deterministic per (seed, stream, retry_index): we
+  // discard retry_index-1 draws so consecutive retries see successive
+  // values of one stream.
   Rng rng = stream_rng(p.seed, stream);
   for (std::uint32_t i = 1; i < retry_index; ++i) rng();
   const std::uint64_t span = std::max<std::uint64_t>(1, capped);
   const std::uint64_t jitter = rng.next_below(span);  // [0, capped)
   return static_cast<std::uint32_t>(capped / 2 + jitter / 2 + 1);
+}
+
+std::uint64_t retry_stream(std::uint32_t node,
+                           std::uint64_t flow_seq) noexcept {
+  std::uint64_t state = flow_seq;
+  return splitmix64(state) ^ node;
 }
 
 bool retriable_code(service::wire::ResultCode c) noexcept {

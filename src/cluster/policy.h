@@ -33,11 +33,18 @@ struct RetryPolicy {
 
 /// Backoff before retry `retry_index` (1-based: the sleep before the
 /// second attempt is retry_index 1). Capped exponential doubling of
-/// base_ms with +-50% jitter from stream_rng(seed, stream) — `stream`
-/// is the node index, so different nodes' retry storms decorrelate
-/// while a fixed seed reproduces the exact schedule.
+/// base_ms with +-50% jitter from stream_rng(seed, stream) — the router
+/// passes retry_stream(node, flow), so retry storms decorrelate across
+/// nodes and across flows while a fixed seed reproduces the exact
+/// schedule.
 std::uint32_t backoff_ms(const RetryPolicy& p, std::uint64_t stream,
                          std::uint32_t retry_index);
+
+/// Jitter stream of one flow's retries against one node. `flow_seq` is
+/// the router's per-flow sequence number: two flows (of one batch or of
+/// concurrent batches) retrying the same node on the same attempt draw
+/// from different streams instead of sleeping in lockstep.
+std::uint64_t retry_stream(std::uint32_t node, std::uint64_t flow_seq) noexcept;
 
 /// In-band result codes worth re-asking another replica: only
 /// kOverloaded (admission shed — another replica may have capacity).

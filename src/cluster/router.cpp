@@ -5,8 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <latch>
-#include <map>
+#include <stdexcept>
 #include <utility>
 
 namespace plg::cluster {
@@ -70,6 +69,24 @@ bool decode_code(std::uint8_t byte, std::int64_t dist_value,
   return false;
 }
 
+/// Appends a batch request frame asking batch[i] for every i in `idx`,
+/// encoded straight from the batch.
+void put_indexed_request(std::vector<std::uint8_t>& out, wire::Verb verb,
+                         std::uint32_t request_id,
+                         const std::vector<QueryRequest>& batch,
+                         std::span<const std::size_t> idx) {
+  const std::size_t bytes = idx.size() * wire::kQueryRecordSize;
+  wire::put_header(out, verb, wire::FrameStatus::kOk, request_id,
+                   static_cast<std::uint32_t>(bytes));
+  std::size_t at = out.size();
+  out.resize(at + bytes);
+  for (const std::size_t i : idx) {
+    wire::store_u64(out.data() + at, batch[i].u);
+    wire::store_u64(out.data() + at + 8, batch[i].v);
+    at += wire::kQueryRecordSize;
+  }
+}
+
 }  // namespace
 
 Router::Router(ClusterConfig cfg, RouterOptions opt)
@@ -77,7 +94,14 @@ Router::Router(ClusterConfig cfg, RouterOptions opt)
       opt_(opt),
       pool_(opt.flow_threads) {
   cfg_.validate();
+  if (cfg_.num_nodes() > kMaxNodes) {
+    throw std::invalid_argument("Router: at most 64 nodes");
+  }
   pref_ = cfg_.preference_lists();
+  mask_.assign(pref_.size(), 0);
+  for (std::size_t s = 0; s < pref_.size(); ++s) {
+    for (const std::uint32_t nd : pref_[s]) mask_[s] |= std::uint64_t{1} << nd;
+  }
   nodes_.reserve(cfg_.nodes.size());
   for (const NodeEndpoint& ep : cfg_.nodes) {
     auto n = std::make_unique<Node>();
@@ -110,46 +134,99 @@ std::vector<QueryResult> Router::query_batch(
   batches_.fetch_add(1, std::memory_order_relaxed);
   queries_.fetch_add(batch.size(), std::memory_order_relaxed);
 
-  std::vector<QueryResult> results(batch.size());
+  // Degradation default: a slot nothing answers reads kUnavailable, so
+  // the batch is always fully written no matter which path exits.
+  QueryResult unavailable;
+  unavailable.status = QueryStatus::kUnavailable;
+  std::vector<QueryResult> results(batch.size(), unavailable);
   const Clock::time_point overall =
       bopt.deadline ? *bopt.deadline
                     : now() + std::chrono::milliseconds(opt_.batch_budget_ms);
 
-  // Group queries by eligible-node signature: one flow per distinct
-  // owners(u) ∩ owners(v), so an exchange asks one node exactly the
-  // queries it can answer.
-  std::map<std::vector<std::uint32_t>, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::vector<std::uint32_t>& a = pref_[cfg_.shard_of(batch[i].u)];
-    const std::vector<std::uint32_t>& b = pref_[cfg_.shard_of(batch[i].v)];
-    std::vector<std::uint32_t> sig;
-    sig.reserve(a.size());
-    for (const std::uint32_t nd : a) {
-      if (std::find(b.begin(), b.end(), nd) != b.end()) sig.push_back(nd);
-    }
-    groups[sig].push_back(i);
-  }
+  // Group queries by ordered signature: owners(u)'s preference list
+  // filtered by owners(v)'s bits, built on the stack; the flow is found
+  // by a linear search over the batch's few flows.
   std::vector<Flow> flows;
-  flows.reserve(groups.size());
-  for (auto& [sig, idx] : groups) {
-    flows.push_back(Flow{sig, std::move(idx)});
+  std::vector<std::uint32_t> flow_of(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::uint32_t su = cfg_.shard_of(batch[i].u);
+    const std::uint32_t sv = cfg_.shard_of(batch[i].v);
+    const std::uint64_t mask = mask_[su] & mask_[sv];
+    std::uint32_t sig[kMaxNodes];
+    std::size_t k = 0;
+    for (const std::uint32_t nd : pref_[su]) {
+      if ((mask >> nd) & 1) sig[k++] = nd;
+    }
+    std::size_t f = 0;
+    while (f < flows.size() &&
+           (flows[f].mask != mask ||
+            !std::equal(sig, sig + k, flows[f].nodes.begin()))) {
+      ++f;
+    }
+    if (f == flows.size()) {
+      flows.push_back(Flow{mask, std::vector<std::uint32_t>(sig, sig + k)});
+    }
+    ++flows[f].end;  // a count until the layout pass below
+    flow_of[i] = static_cast<std::uint32_t>(f);
   }
 
-  if (!flows.empty()) {
-    // Flows 0..k-2 go onto the pool and this thread runs the last one,
-    // so a single-flow batch never leaves the caller. The frame outlives
-    // every queued flow (done.wait below), so jobs capture it by
-    // reference.
-    const std::size_t last = flows.size() - 1;
-    std::latch done(static_cast<std::ptrdiff_t>(last));
-    for (std::size_t f = 0; f < last; ++f) {
-      pool_.submit([this, &batch, &flow = flows[f], overall, &results,
-                    &done] {
-        run_flow(batch, flow, overall, results);
-        done.count_down();
-      });
+  // Pick every flow's primary, then lay the batch out so that the flows
+  // sharing a primary are adjacent slices of `order`: one merged frame
+  // per primary, encoded straight from those batch indices.
+  std::vector<std::uint32_t> ids(flows.size());
+  for (std::uint32_t f = 0; f < flows.size(); ++f) {
+    flows[f].primary = pick_node(flows[f], 0);
+    ids[f] = f;
+  }
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return flows[a].primary < flows[b].primary;
+                   });
+  std::size_t at = 0;
+  for (const std::uint32_t f : ids) {
+    const std::size_t count = flows[f].end;
+    flows[f].begin = flows[f].end = at;
+    at += count;
+  }
+  std::vector<std::size_t> order(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    order[flows[flow_of[i]].end++] = i;
+  }
+
+  // Flows with every eligible replica quarantined sort first (primary
+  // -1) and resolve here without any I/O.
+  std::size_t first = 0;
+  for (; first < ids.size() && flows[ids[first]].primary < 0; ++first) {
+    const Flow& fl = flows[ids[first]];
+    finish_flow(std::span(order).subspan(fl.begin, fl.end - fl.begin),
+                overall, results);
+  }
+
+  if (first < ids.size()) {
+    // Frames 0..k-2 go onto the pool and this thread runs the last one,
+    // so a batch with one primary never leaves the caller. Every flow
+    // counts down once, wherever it ends up running, and this call
+    // outlives all of them (done.wait below), so jobs capture its locals
+    // by reference.
+    std::latch done(static_cast<std::ptrdiff_t>(ids.size() - first));
+    const std::span<const std::uint32_t> all(ids);
+    for (std::size_t b = first; b < ids.size();) {
+      std::size_t e = b + 1;
+      while (e < ids.size() &&
+             flows[ids[e]].primary == flows[ids[b]].primary) {
+        ++e;
+      }
+      const std::span<const std::uint32_t> frame = all.subspan(b, e - b);
+      if (e == ids.size()) {
+        run_frame(batch, flows, frame, order, overall, results, done);
+      } else {
+        pool_.submit([this, &batch, &flows, frame, &order, overall, &results,
+                      &done] {
+          run_frame(batch, flows, frame, order, overall, results, done);
+        });
+      }
+      b = e;
     }
-    run_flow(batch, flows[last], overall, results);
     done.wait();
   }
 
@@ -161,61 +238,114 @@ std::vector<QueryResult> Router::query_batch(
   return results;
 }
 
+void Router::run_frame(const std::vector<QueryRequest>& batch,
+                       const std::vector<Flow>& flows,
+                       std::span<const std::uint32_t> ids,
+                       const std::vector<std::size_t>& order,
+                       Clock::time_point overall_deadline,
+                       std::vector<QueryResult>& results,
+                       std::latch& done) noexcept {
+  const Flow& head = flows[ids.front()];
+  const std::span<const std::size_t> asked = std::span(order).subspan(
+      head.begin, flows[ids.back()].end - head.begin);
+  std::vector<Part> parts(ids.size());
+  for (std::size_t p = 0; p < ids.size(); ++p) {
+    const Flow& fl = flows[ids[p]];
+    parts[p].flow = &fl;
+    parts[p].offset = fl.begin - head.begin;
+    parts[p].count = fl.end - fl.begin;
+  }
+
+  bool hedged = false;
+  if (opt_.retry.max_attempts > 0 && now() < overall_deadline) {
+    const Clock::time_point per_try =
+        std::min(overall_deadline,
+                 now() + std::chrono::milliseconds(opt_.per_try_ms));
+    hedged = exchange(batch, asked, parts,
+                      static_cast<std::uint32_t>(head.primary), per_try,
+                      results);
+  }
+
+  // Split back: every flow the frame left (partly) unanswered retries
+  // on its own replicas. All but the last such flow go onto the pool.
+  std::size_t left = 0;
+  for (const Part& p : parts) {
+    if (!p.answered || !p.overloaded.empty()) ++left;
+  }
+  if (parts.size() > 1 && (hedged || left > 0)) {
+    splits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::ptrdiff_t resolved_here = 0;
+  for (Part& p : parts) {
+    if (p.answered && p.overloaded.empty()) {
+      ++resolved_here;
+      continue;
+    }
+    const std::span<const std::size_t> mine = asked.subspan(p.offset, p.count);
+    std::vector<std::size_t> pending =
+        p.answered ? std::move(p.overloaded)
+                   : std::vector<std::size_t>(mine.begin(), mine.end());
+    if (--left == 0) {
+      run_flow(batch, *p.flow, std::move(pending), overall_deadline, results);
+      ++resolved_here;
+    } else {
+      pool_.submit([this, &batch, flow = p.flow, pending = std::move(pending),
+                    overall_deadline, &results, &done]() mutable {
+        run_flow(batch, *flow, std::move(pending), overall_deadline, results);
+        done.count_down();
+      });
+    }
+  }
+  done.count_down(resolved_here);
+}
+
 void Router::run_flow(const std::vector<QueryRequest>& batch, const Flow& flow,
+                      std::vector<std::size_t> pending,
                       Clock::time_point overall_deadline,
                       std::vector<QueryResult>& results) noexcept {
-  // Degradation default: a slot nothing answers reads kUnavailable, so
-  // the batch is always fully written no matter which path exits.
-  for (const std::size_t i : flow.idx) {
-    results[i] = QueryResult{};
-    results[i].status = QueryStatus::kUnavailable;
-  }
-
-  std::vector<std::size_t> pending = flow.idx;
-  std::uint32_t rotation = 0;
-  for (std::uint32_t attempt = 0;
+  // Attempt 0 was the merged frame at rotation 0; attempt k asks the
+  // flow's k-th routable replica (wrapping).
+  const std::uint64_t seq = flow_seq_.fetch_add(1, std::memory_order_relaxed);
+  for (std::uint32_t attempt = 1;
        attempt < opt_.retry.max_attempts && !pending.empty(); ++attempt) {
     if (now() >= overall_deadline) break;
-    const int primary = pick_node(flow, rotation);
-    if (primary < 0) break;  // every eligible replica is quarantined
-    if (attempt > 0) {
-      nodes_[static_cast<std::size_t>(primary)]->retries.fetch_add(
-          1, std::memory_order_relaxed);
-      const std::uint32_t sleep_ms = backoff_ms(
-          opt_.retry, static_cast<std::uint64_t>(primary), attempt);
-      const Clock::time_point wake = std::min(
-          overall_deadline, now() + std::chrono::milliseconds(sleep_ms));
-      std::this_thread::sleep_until(wake);
-      if (now() >= overall_deadline) break;
-    }
+    const int node = pick_node(flow, attempt);
+    if (node < 0) break;  // every eligible replica is quarantined
+    const auto nd = static_cast<std::uint32_t>(node);
+    nodes_[nd]->retries.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t sleep_ms =
+        backoff_ms(opt_.retry, retry_stream(nd, seq), attempt);
+    const Clock::time_point wake = std::min(
+        overall_deadline, now() + std::chrono::milliseconds(sleep_ms));
+    std::this_thread::sleep_until(wake);
+    if (now() >= overall_deadline) break;
     const Clock::time_point per_try = std::min(
         overall_deadline, now() + std::chrono::milliseconds(opt_.per_try_ms));
-    ExchangeOutcome out = exchange(batch, pending,
-                                   static_cast<std::uint32_t>(primary), flow,
-                                   per_try, results);
-    ++rotation;
-    if (out.answered) pending = std::move(out.overloaded);
+    Part part;
+    part.flow = &flow;
+    part.count = pending.size();
+    exchange(batch, pending, std::span(&part, 1), nd, per_try, results);
+    if (part.answered) pending = std::move(part.overloaded);
   }
+  finish_flow(pending, overall_deadline, results);
+}
 
+void Router::finish_flow(std::span<const std::size_t> pending,
+                         Clock::time_point overall_deadline,
+                         std::vector<QueryResult>& results) {
   if (pending.empty()) return;
-  if (now() >= overall_deadline) {
-    std::uint64_t marked = 0;
-    for (const std::size_t i : pending) {
-      if (results[i].status == QueryStatus::kUnavailable) {
-        results[i].status = QueryStatus::kDeadlineExceeded;
-        ++marked;
-      }
-    }
-    deadline_exceeded_.fetch_add(marked, std::memory_order_relaxed);
-    return;
-  }
-  // Replicas exhausted with time to spare: the key range is genuinely
-  // unreachable right now. Count the slots still carrying the default.
+  const bool late = now() >= overall_deadline;
   std::uint64_t marked = 0;
   for (const std::size_t i : pending) {
-    if (results[i].status == QueryStatus::kUnavailable) ++marked;
+    if (results[i].status != QueryStatus::kUnavailable) continue;
+    if (late) results[i].status = QueryStatus::kDeadlineExceeded;
+    ++marked;
   }
-  unavailable_.fetch_add(marked, std::memory_order_relaxed);
+  // Past the deadline the slots still carrying the default ran out of
+  // time; before it, replicas are exhausted with time to spare and the
+  // key range is genuinely unreachable right now.
+  (late ? deadline_exceeded_ : unavailable_)
+      .fetch_add(marked, std::memory_order_relaxed);
 }
 
 int Router::pick_node(const Flow& flow, std::uint32_t start,
@@ -330,23 +460,22 @@ Router::ArmFrame Router::arm_frame(const Arm& a,
   return a.buf.size() == need ? ArmFrame::kComplete : ArmFrame::kMalformed;
 }
 
-Router::ExchangeOutcome Router::exchange(
-    const std::vector<QueryRequest>& batch,
-    const std::vector<std::size_t>& asked, std::uint32_t primary,
-    const Flow& flow, Clock::time_point deadline,
-    std::vector<QueryResult>& results) {
-  ExchangeOutcome out;
+bool Router::exchange(const std::vector<QueryRequest>& batch,
+                      std::span<const std::size_t> asked,
+                      std::span<Part> parts, std::uint32_t primary,
+                      Clock::time_point deadline,
+                      std::vector<QueryResult>& results) {
   const wire::Verb verb = opt_.kind == service::QueryKind::kAdjacency
                               ? wire::Verb::kAdjBatch
                               : wire::Verb::kDistBatch;
+  const std::size_t record =
+      verb == wire::Verb::kAdjBatch ? 1 : wire::kDistRecordSize;
 
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> qs;
-  qs.reserve(asked.size());
-  for (const std::size_t i : asked) qs.emplace_back(batch[i].u, batch[i].v);
-
-  // Opens a connection to `node`, sends the sub-batch, and arms the
-  // response reader. Any failure is recorded against the node's health.
-  auto start_arm = [&](std::uint32_t node, bool is_hedge, Arm& arm) -> bool {
+  // Opens a connection to `node`, sends `qs`, and arms the response
+  // reader. Any failure is recorded against the node's health.
+  std::vector<std::uint8_t> frame;
+  auto start_arm = [&](std::uint32_t node, std::span<const std::size_t> qs,
+                       Arm& arm) -> bool {
     Node& n = *nodes_[node];
     const std::uint32_t left_ms = ms_until(deadline, now());
     if (left_ms == 0) return false;
@@ -359,10 +488,9 @@ Router::ExchangeOutcome Router::exchange(
       return false;
     }
     arm.node = node;
-    arm.is_hedge = is_hedge;
     arm.request_id = conn->next_request_id++;
-    std::vector<std::uint8_t> frame;
-    wire::put_batch_request(frame, verb, arm.request_id, qs.data(), qs.size());
+    frame.clear();
+    put_indexed_request(frame, verb, arm.request_id, batch, qs);
     if (!conn->client.send_bytes_until(frame, deadline)) {
       conn->client.close();
       n.transport_errors.fetch_add(1, std::memory_order_relaxed);
@@ -370,92 +498,123 @@ Router::ExchangeOutcome Router::exchange(
       return false;
     }
     n.sent.fetch_add(1, std::memory_order_relaxed);
-    if (is_hedge) n.hedges.fetch_add(1, std::memory_order_relaxed);
+    node_frames_.fetch_add(1, std::memory_order_relaxed);
+    if (arm.is_hedge) n.hedges.fetch_add(1, std::memory_order_relaxed);
     arm.conn = std::move(*conn);
     arm.sent_at = now();
     return true;
   };
 
-  // Decodes a winner's kOk payload into the result slots. False on a
-  // size or code-byte violation (protocol error).
-  auto decode_and_fill = [&](const std::uint8_t* payload,
+  // Decodes an arm's kOk payload into the slots of the parts it asked
+  // that are still unanswered. False on a size or code-byte violation
+  // (protocol error), checked before any slot is written.
+  auto decode_and_fill = [&](const Arm& a, const std::uint8_t* payload,
                              std::uint32_t length) -> bool {
-    const std::size_t nq = asked.size();
-    if (verb == wire::Verb::kAdjBatch) {
-      if (length != nq) return false;
-    } else if (length != nq * wire::kDistRecordSize) {
-      return false;
-    }
-    std::vector<std::size_t> overloaded;
+    const std::size_t nq = a.is_hedge ? parts[a.part].count : asked.size();
+    if (length != nq * record) return false;
     for (std::size_t q = 0; q < nq; ++q) {
-      std::uint8_t code;
-      std::int64_t dist = -1;
-      if (verb == wire::Verb::kAdjBatch) {
-        code = payload[q];
-      } else {
-        code = payload[q * wire::kDistRecordSize];
-        dist = static_cast<std::int64_t>(
-            wire::get_u64(payload + q * wire::kDistRecordSize + 1));
+      if (payload[q * record] >
+          static_cast<std::uint8_t>(wire::ResultCode::kUnavailable)) {
+        return false;
       }
-      QueryResult r;
-      if (!decode_code(code, dist, r)) return false;
-      if (r.status == QueryStatus::kOverloaded) overloaded.push_back(asked[q]);
-      results[asked[q]] = r;
     }
-    out.overloaded = std::move(overloaded);
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      Part& part = parts[p];
+      if (part.answered || (a.is_hedge && a.part != p)) continue;
+      const std::uint8_t* rec =
+          payload + (a.is_hedge ? 0 : part.offset * record);
+      for (std::size_t q = 0; q < part.count; ++q, rec += record) {
+        const std::int64_t dist =
+            record == 1 ? -1
+                        : static_cast<std::int64_t>(wire::get_u64(rec + 1));
+        const std::size_t i = asked[part.offset + q];
+        decode_code(rec[0], dist, results[i]);
+        if (results[i].status == QueryStatus::kOverloaded) {
+          part.overloaded.push_back(i);
+        }
+      }
+      part.answered = true;
+    }
     return true;
   };
 
   std::vector<Arm> arms;
-  {
-    Arm a;
-    if (!start_arm(primary, false, a)) return out;  // caller retries
-    arms.push_back(std::move(a));
-  }
+  arms.reserve(1 + parts.size());
+  arms.emplace_back();
+  if (!start_arm(primary, asked, arms[0])) return false;  // caller retries
+  Arm& lead = arms[0];
 
-  // Hedge schedule: adaptive delay from the primary's latency history.
+  auto close_arm = [](Arm& a) {
+    a.conn->client.close();
+    a.conn.reset();
+  };
+  // Closes every arm whose parts are all answered: its response may
+  // still be in flight, so its connection can never be reused.
+  auto close_losers = [&] {
+    bool all = true;
+    for (const Part& p : parts) {
+      all = all && p.answered;
+      if (p.answered && p.hedge_arm > 0 && arms[p.hedge_arm].conn) {
+        close_arm(arms[p.hedge_arm]);
+      }
+    }
+    if (all && lead.conn) close_arm(lead);
+  };
+  // A part is still in play while an arm that asked it is alive.
+  auto in_play = [&] {
+    for (const Part& p : parts) {
+      if (p.answered) continue;
+      if (lead.conn || (p.hedge_arm > 0 && arms[p.hedge_arm].conn)) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // Hedge schedule: adaptive delay from the primary's latency history,
+  // armed when some part has another replica to hedge to.
   Node& pn = *nodes_[primary];
   Clock::time_point hedge_at = Clock::time_point::max();
-  int hedge_node = -1;
-  if (opt_.hedge.enabled && flow.nodes.size() > 1) {
-    hedge_node = pick_node(flow, 0, static_cast<int>(primary));
-    if (hedge_node >= 0) {
-      const std::uint64_t delay_ns = hedge_delay_ns(
-          opt_.hedge, pn.latency,
-          pn.latency_samples.load(std::memory_order_relaxed));
-      hedge_at = arms[0].sent_at + std::chrono::nanoseconds(delay_ns);
-    }
+  if (opt_.hedge.enabled &&
+      std::any_of(parts.begin(), parts.end(),
+                  [](const Part& p) { return p.flow->nodes.size() > 1; })) {
+    hedge_at = lead.sent_at +
+               std::chrono::nanoseconds(hedge_delay_ns(
+                   opt_.hedge, pn.latency,
+                   pn.latency_samples.load(std::memory_order_relaxed)));
   }
 
-  bool hedge_fired = false;
-  while (!arms.empty()) {
+  bool hedged = false;
+  std::vector<pollfd> pfds(arms.capacity());
+  while (in_play()) {
     const Clock::time_point t = now();
     if (t >= deadline) break;  // surviving arms timed out
-    Clock::time_point wake = deadline;
-    if (!hedge_fired && hedge_node >= 0 && hedge_at < wake) wake = hedge_at;
+    const Clock::time_point wake = std::min(deadline, hedge_at);
 
-    pollfd pfds[2] = {};
-    const nfds_t cnt = static_cast<nfds_t>(arms.size());
-    for (std::size_t i = 0; i < arms.size() && i < 2; ++i) {
-      pfds[i].fd = arms[i].conn->client.fd();
-      pfds[i].events = POLLIN;
+    for (std::size_t k = 0; k < arms.size(); ++k) {
+      // poll() ignores negative descriptors: closed arms stay in place.
+      pfds[k].fd = arms[k].conn ? arms[k].conn->client.fd() : -1;
+      pfds[k].events = POLLIN;
+      pfds[k].revents = 0;
     }
-    const int rc = ::poll(pfds, cnt, static_cast<int>(ms_until(wake, t)));
+    const int rc = ::poll(pfds.data(), static_cast<nfds_t>(arms.size()),
+                          static_cast<int>(ms_until(wake, t)));
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
     }
 
-    std::vector<std::size_t> dead;
-    for (std::size_t i = 0; i < arms.size() && i < 2; ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Arm& a = arms[i];
+    for (std::size_t k = 0; k < arms.size(); ++k) {
+      Arm& a = arms[k];
+      if (!a.conn ||
+          (pfds[k].revents & (POLLIN | POLLERR | POLLHUP)) == 0) {
+        continue;
+      }
       Node& n = *nodes_[a.node];
       if (!pump_arm(a)) {
         n.transport_errors.fetch_add(1, std::memory_order_relaxed);
         record_outcome(a.node, false);
-        a.conn->client.close();
-        dead.push_back(i);
+        close_arm(a);
         continue;
       }
       wire::FrameHeader hdr;
@@ -477,7 +636,7 @@ Router::ExchangeOutcome Router::exchange(
         } else if (hdr.status !=
                    static_cast<std::uint8_t>(wire::FrameStatus::kOk)) {
           protocol_bad = true;
-        } else if (!decode_and_fill(a.buf.data() + wire::kHeaderSize,
+        } else if (!decode_and_fill(a, a.buf.data() + wire::kHeaderSize,
                                     hdr.length)) {
           protocol_bad = true;
         } else {
@@ -493,13 +652,8 @@ Router::ExchangeOutcome Router::exchange(
           if (a.is_hedge) n.hedge_wins.fetch_add(1, std::memory_order_relaxed);
           release_conn(n, std::move(*a.conn));
           a.conn.reset();
-          // The loser's response may still be in flight on its
-          // connection; it can never be reused for a fresh request.
-          for (Arm& other : arms) {
-            if (other.conn) other.conn->client.close();
-          }
-          out.answered = true;
-          return out;
+          close_losers();
+          continue;
         }
       }
       if (protocol_bad) {
@@ -508,19 +662,28 @@ Router::ExchangeOutcome Router::exchange(
         n.transport_errors.fetch_add(1, std::memory_order_relaxed);
       }
       record_outcome(a.node, false);
-      a.conn->client.close();
-      dead.push_back(i);
+      close_arm(a);
     }
-    for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
-      arms.erase(arms.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    if (arms.empty()) break;
 
-    if (!hedge_fired && hedge_node >= 0 && now() >= hedge_at) {
-      hedge_fired = true;
-      Arm h;
-      if (start_arm(static_cast<std::uint32_t>(hedge_node), true, h)) {
-        arms.push_back(std::move(h));
+    // Per-flow hedging: once, while the primary is still out, every
+    // unanswered part with another routable replica asks it for its own
+    // slice; parts with none keep waiting on the primary.
+    if (lead.conn && now() >= hedge_at) {
+      hedge_at = Clock::time_point::max();
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        Part& part = parts[p];
+        if (part.answered) continue;
+        const int node = pick_node(*part.flow, 0, static_cast<int>(primary));
+        if (node < 0) continue;
+        Arm h;
+        h.is_hedge = true;
+        h.part = p;
+        if (start_arm(static_cast<std::uint32_t>(node),
+                      asked.subspan(part.offset, part.count), h)) {
+          part.hedge_arm = arms.size();
+          arms.push_back(std::move(h));
+          hedged = true;
+        }
       }
     }
   }
@@ -528,12 +691,12 @@ Router::ExchangeOutcome Router::exchange(
   // Deadline (or poll failure) with arms still in flight: every
   // survivor is a timeout against its node.
   for (Arm& a : arms) {
-    Node& n = *nodes_[a.node];
-    n.timeouts.fetch_add(1, std::memory_order_relaxed);
+    if (!a.conn) continue;
+    nodes_[a.node]->timeouts.fetch_add(1, std::memory_order_relaxed);
     record_outcome(a.node, false);
-    if (a.conn) a.conn->client.close();
+    close_arm(a);
   }
-  return out;
+  return hedged;
 }
 
 void Router::prober_main() {
@@ -655,6 +818,10 @@ std::string Router::extra_stats_json() const {
          std::to_string(batches_.load(std::memory_order_relaxed));
   out += ",\"unavailable\":" +
          std::to_string(unavailable_.load(std::memory_order_relaxed));
+  out += ",\"node_frames\":" +
+         std::to_string(node_frames_.load(std::memory_order_relaxed));
+  out += ",\"splits\":" +
+         std::to_string(splits_.load(std::memory_order_relaxed));
   out += ",\"nodes\":[";
   for (std::uint32_t i = 0; i < cfg_.num_nodes(); ++i) {
     const NodeStatsView v = node_stats(i);

@@ -3,26 +3,36 @@
 // NetServer hosts it unchanged — `plgtool route` is just `serve --tcp`
 // with a Router behind the event loop instead of a QueryService.
 //
-// A batch is split into *flows* keyed by the eligible-node signature
-// owners(u) ∩ owners(v) (non-empty by the ClusterConfig pair-coverage
-// invariant). Flows run concurrently, one in-flight exchange per flow:
-// every flow but the last goes onto a small worker pool's shared queue,
-// where any idle worker takes it, and the calling thread runs the last
-// one itself, as the engine does with chunks:
+// A batch is split into *flows* keyed by the ordered eligible-node
+// signature owners(u) ∩ owners(v) (non-empty by the ClusterConfig
+// pair-coverage invariant; a flow's nodes keep owners(u)'s preference
+// order). Any eligible node answers any of a flow's queries by itself,
+// so flows that pick the same primary go out together as one *merged*
+// node frame: a healthy batch sends at most one frame to each node.
+// Merged frames run concurrently, one per primary: every frame but the
+// last goes onto a small worker pool's shared queue, where any idle
+// worker takes it, and the calling thread runs the last one itself, as
+// the engine does with chunks. Retries and hedges stay per flow:
 //
 //   * Deadline budgets: every exchange gets min(per_try_ms, time left
 //     until the batch deadline); the batch call itself always returns
 //     by the overall deadline (bopt.deadline, or now + batch_budget_ms
 //     when the caller set none) — the never-hang BatchHandler contract.
-//   * Retries: a failed exchange (connect failure, transport error,
-//     timeout, retriable error frame, in-band kOverloaded) moves to the
-//     next replica in preference order after a capped exponential
-//     backoff with stream_rng jitter (policy.h), up to max_attempts.
+//   * Split-back: a merged frame that fails (connect failure, transport
+//     error, timeout, retriable error frame, in-band kOverloaded
+//     leftovers) splits back into its flows. Each flow retries only its
+//     own unanswered queries on the next of its own replicas, after a
+//     capped exponential backoff with stream_rng jitter keyed by node
+//     and flow (policy.h), up to max_attempts; split flows run
+//     concurrently on the pool.
 //   * Hedging: once a node's latency histogram is warm, a request that
-//     outlives the node's p95 (clamped; policy.h) fires a duplicate to
-//     the next healthy replica; first complete, id-verified response
-//     wins and the loser's connection is closed. A SIGSTOP'd node costs
-//     one hedge delay, not a full per-try timeout.
+//     outlives the node's p95 (clamped; policy.h) hedges per flow: each
+//     of its flows with another routable replica sends its own queries
+//     there, and flows with no other replica keep waiting on the
+//     primary. The first complete, id-verified response wins each
+//     query; an arm nobody waits on any more has its connection closed.
+//     A SIGSTOP'd node costs each flow one hedge delay, not a full
+//     per-try timeout.
 //   * Correlation: request_ids are monotonically increasing per pooled
 //     connection, and every response frame — error frames included —
 //     must echo the id of the request in flight on that connection
@@ -37,14 +47,19 @@
 //   * Degradation: when every eligible replica for a flow is
 //     quarantined or exhausts its attempts, the flow's queries answer
 //     kUnavailable in-band and the batch still completes on time.
+//
+// Signatures are node bitmasks, so a Router serves at most kMaxNodes
+// nodes (the constructor throws std::invalid_argument beyond that).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +124,9 @@ struct NodeStatsView {
 
 class Router final : public service::BatchHandler {
  public:
+  /// Most nodes a Router can address: one bit per node in a signature.
+  static constexpr std::uint32_t kMaxNodes = 64;
+
   /// Validates the config (throws std::invalid_argument) and spawns the
   /// flow pool + prober. No connections are opened until traffic.
   Router(ClusterConfig cfg, RouterOptions opt);
@@ -167,41 +185,77 @@ class Router final : public service::BatchHandler {
     std::atomic<std::uint64_t> latency_samples{0};
   };
 
-  /// One group of batch indices sharing an eligible-node signature.
+  /// One group of batch queries sharing an ordered eligible-node
+  /// signature. Its queries are order[begin, end) of the batch's
+  /// primary-grouped index order, so the flows of one merged frame are
+  /// adjacent slices of it.
   struct Flow {
+    std::uint64_t mask = 0;            ///< the eligible set as node bits
     std::vector<std::uint32_t> nodes;  ///< preference-ordered eligible set
-    std::vector<std::size_t> idx;      ///< positions in the batch
+    int primary = -1;                  ///< pick_node(*this, 0); -1 = none
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
-  /// One in-flight request arm (primary or hedge) of an exchange.
+  /// One flow's share of an exchange: asked[offset, offset + count).
+  struct Part {
+    const Flow* flow = nullptr;
+    std::size_t offset = 0;
+    std::size_t count = 0;
+    std::size_t hedge_arm = 0;  ///< its hedge's arm index; 0 = none
+    bool answered = false;      ///< a verified response filled the slots
+    std::vector<std::size_t> overloaded;  ///< in-band retriable leftovers
+  };
+
+  /// One in-flight request arm of an exchange: the primary asks every
+  /// part, a hedge asks exactly one.
   struct Arm {
     std::uint32_t node = 0;
     std::optional<PooledConn> conn;
     std::uint32_t request_id = 0;
     bool is_hedge = false;
+    std::size_t part = 0;  ///< the part a hedge asks
     std::chrono::steady_clock::time_point sent_at{};
     std::vector<std::uint8_t> buf;  ///< incremental response bytes
   };
 
-  /// Outcome of one exchange attempt against (up to) two arms.
-  struct ExchangeOutcome {
-    bool answered = false;  ///< results filled for all asked queries
-    std::vector<std::size_t> overloaded;  ///< in-band retriable leftovers
-  };
+  /// Sends one merged frame (attempt 0 of the flows `ids` names, which
+  /// share a primary) and splits whatever it leaves unanswered back into
+  /// per-flow retries. Counts each flow down on `done` once it is
+  /// resolved. noexcept: a frame the caller runs must not unwind its
+  /// batch while queued work still writes into it, and an exception on
+  /// a pool thread ends the process anyway.
+  void run_frame(const std::vector<service::QueryRequest>& batch,
+                 const std::vector<Flow>& flows,
+                 std::span<const std::uint32_t> ids,
+                 const std::vector<std::size_t>& order,
+                 std::chrono::steady_clock::time_point overall_deadline,
+                 std::vector<service::QueryResult>& results,
+                 std::latch& done) noexcept;
 
-  /// noexcept: a flow the caller runs must not unwind its batch while
-  /// queued flows still write into it, and an exception on a pool thread
-  /// ends the process anyway.
+  /// Attempts 1.. of one flow for its `pending` queries, then resolves
+  /// what is left (kUnavailable or kDeadlineExceeded).
   void run_flow(const std::vector<service::QueryRequest>& batch,
-                const Flow& flow,
+                const Flow& flow, std::vector<std::size_t> pending,
                 std::chrono::steady_clock::time_point overall_deadline,
                 std::vector<service::QueryResult>& results) noexcept;
 
-  ExchangeOutcome exchange(const std::vector<service::QueryRequest>& batch,
-                           const std::vector<std::size_t>& asked,
-                           std::uint32_t primary, const Flow& flow,
-                           std::chrono::steady_clock::time_point deadline,
-                           std::vector<service::QueryResult>& results);
+  /// Resolves and counts the queries a flow leaves unanswered: they
+  /// turn kDeadlineExceeded once the batch deadline has passed, and stay
+  /// kUnavailable before it.
+  void finish_flow(std::span<const std::size_t> pending,
+                   std::chrono::steady_clock::time_point overall_deadline,
+                   std::vector<service::QueryResult>& results);
+
+  /// One attempt: asks `primary` for `asked` and, past the hedge delay,
+  /// each unanswered part's next replica for that part's slice. Marks
+  /// the parts it answers (first verified response wins each part).
+  /// Returns true when a hedge was sent.
+  bool exchange(const std::vector<service::QueryRequest>& batch,
+                std::span<const std::size_t> asked, std::span<Part> parts,
+                std::uint32_t primary,
+                std::chrono::steady_clock::time_point deadline,
+                std::vector<service::QueryResult>& results);
 
   /// Pops an idle pooled connection or opens a fresh one within
   /// `timeout_ms`. nullopt = node unreachable (counted by the caller).
@@ -240,6 +294,7 @@ class Router final : public service::BatchHandler {
   ClusterConfig cfg_;
   RouterOptions opt_;
   std::vector<std::vector<std::uint32_t>> pref_;  ///< shard -> owners
+  std::vector<std::uint64_t> mask_;  ///< shard -> owners as node bits
   std::vector<std::unique_ptr<Node>> nodes_;
   service::ThreadPool pool_;
 
@@ -248,6 +303,9 @@ class Router final : public service::BatchHandler {
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> unavailable_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
+  std::atomic<std::uint64_t> node_frames_{0};  ///< request frames sent
+  std::atomic<std::uint64_t> splits_{0};  ///< merged frames split to flows
+  std::atomic<std::uint64_t> flow_seq_{0};  ///< retry jitter stream key
 
   // Drain gate: query_batch calls in flight.
   mutable util::Mutex drain_mu_;

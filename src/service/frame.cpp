@@ -82,6 +82,11 @@ void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 void put_header(std::vector<std::uint8_t>& out, Verb verb, FrameStatus status,
                 std::uint32_t request_id, std::uint32_t length) {
   put_u32(out, kMagic);

@@ -153,6 +153,7 @@ std::uint32_t get_u32(const std::uint8_t* p) noexcept;
 // plglint: wire-read
 std::uint64_t get_u64(const std::uint8_t* p) noexcept;
 void store_u32(std::uint8_t* p, std::uint32_t v) noexcept;
+void store_u64(std::uint8_t* p, std::uint64_t v) noexcept;
 
 // --- frame builders (append to `out`; used by server and clients) -----
 

@@ -96,6 +96,31 @@ TEST(ClusterPolicy, BackoffDeterministicCappedAndJittered) {
   EXPECT_LE(backoff_ms(p, 0, 63), p.max_ms + 1);
 }
 
+TEST(ClusterPolicy, RetryJitterDecorrelatesFlowsOnOneNode) {
+  RetryPolicy p;
+  p.base_ms = 40;
+  p.max_ms = 1'000;
+  p.seed = 99;
+  // Retry 3 against node 2: capped at 160 ms, jitter window [80, 161].
+  const std::uint32_t node = 2, retry = 3;
+  std::vector<std::uint32_t> sleeps;
+  for (std::uint64_t flow = 0; flow < 16; ++flow) {
+    const std::uint32_t a = backoff_ms(p, retry_stream(node, flow), retry);
+    EXPECT_EQ(a, backoff_ms(p, retry_stream(node, flow), retry))
+        << "same (seed, node, flow, retry) must reproduce";
+    EXPECT_GE(a, 80u);
+    EXPECT_LE(a, 161u);
+    sleeps.push_back(a);
+  }
+  // Two flows retrying one node at one attempt do not sleep in lockstep.
+  EXPECT_NE(sleeps[0], sleeps[1]);
+  std::sort(sleeps.begin(), sleeps.end());
+  EXPECT_GE(std::unique(sleeps.begin(), sleeps.end()) - sleeps.begin(), 8);
+  // The stream depends on the node as well as on the flow.
+  EXPECT_NE(retry_stream(0, 5), retry_stream(1, 5));
+  EXPECT_NE(retry_stream(1, 5), retry_stream(1, 6));
+}
+
 TEST(ClusterPolicy, RetryClassification) {
   EXPECT_TRUE(retriable_code(wire::ResultCode::kOverloaded));
   EXPECT_FALSE(retriable_code(wire::ResultCode::kNo));
@@ -450,6 +475,38 @@ bool wait_until(Pred pred, int timeout_ms) {
   return pred();
 }
 
+using PairList = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Up to `per_sig` pairs for every ordered eligible-node signature the
+/// config produces over ids [0, n), in first-seen order.
+std::vector<std::pair<std::vector<std::uint32_t>, PairList>>
+pairs_by_signature(const ClusterConfig& cfg, std::uint64_t n,
+                   std::size_t per_sig) {
+  std::vector<std::pair<std::vector<std::uint32_t>, PairList>> out;
+  for (std::uint64_t u = 0; u < n; ++u) {
+    for (std::uint64_t v = 0; v < n; v += 3) {
+      const auto elig = cfg.eligible_nodes(u, v);
+      auto it = std::find_if(out.begin(), out.end(),
+                             [&](const auto& e) { return e.first == elig; });
+      if (it == out.end()) {
+        out.push_back({elig, {}});
+        it = out.end() - 1;
+      }
+      if (it->second.size() < per_sig) it->second.emplace_back(u, v);
+    }
+  }
+  return out;
+}
+
+/// A router-level counter from the STATS "cluster" block.
+std::uint64_t cluster_stat(const Router& r, const std::string& key) {
+  const std::string json = r.extra_stats_json();
+  const std::size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
 TEST(ClusterRouter, MatchesOracleWhenAllNodesHealthy) {
   const AdjCorpus corpus;
   ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
@@ -750,6 +807,167 @@ TEST(ClusterRouter, HedgeRescuesStalledReplica) {
                 router.node_stats(0).hedges, 1u);
 }
 
+TEST(ClusterRouter, OneNodeFramePerNodeWhenHealthy) {
+  const AdjCorpus corpus;
+  ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
+  RouterOptions opt = fast_router_opts();
+  // A hedge that a slow host fires would add a frame by design; this
+  // test counts the frames of the healthy path only.
+  opt.hedge.enabled = false;
+  Router router(h.cfg, opt);
+
+  // One batch covering every ordered signature of N=3, R=2: the six
+  // ordered pairs and the three singletons.
+  const auto by_sig =
+      pairs_by_signature(h.cfg, corpus.g.num_vertices(), 12);
+  ASSERT_EQ(by_sig.size(), 9u);
+  PairList qs;
+  for (const auto& [sig, pairs] : by_sig) {
+    qs.insert(qs.end(), pairs.begin(), pairs.end());
+  }
+  const std::vector<Edge> edges = corpus.g.edge_list();
+  for (std::size_t i = 0; i < 60; ++i) {
+    const Edge& e = edges[i * (edges.size() / 60)];
+    qs.emplace_back(e.u, e.v);
+  }
+
+  const auto results = run_batch(router, qs);
+  ASSERT_EQ(results.size(), qs.size());
+  std::size_t positives = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ASSERT_EQ(results[i].status, QueryStatus::kOk) << "query " << i;
+    EXPECT_EQ(results[i].adjacent, corpus.adjacent(qs[i].first, qs[i].second))
+        << "query " << i;
+    positives += results[i].adjacent ? 1 : 0;
+  }
+  EXPECT_GE(positives, 60u);
+  // Nine flows, three primaries: one merged frame per node.
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_LE(router.node_stats(i).sent, 1u) << "node " << i;
+  }
+  EXPECT_EQ(cluster_stat(router, "node_frames"), 3u);
+  EXPECT_EQ(cluster_stat(router, "splits"), 0u);
+}
+
+TEST(ClusterRouter, MergedFrameHedgesPerFlow) {
+  const AdjCorpus corpus;
+  ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
+  Tarpit tarpit;
+  h.stop_node(0);
+  h.cfg.nodes[0] = NodeEndpoint{"127.0.0.1", tarpit.port()};
+
+  RouterOptions opt = fast_router_opts();  // cold hedge after <= 20 ms
+  opt.probe = false;
+
+  // Flows (0,1) and (0,2) share the tarpit as primary, so they go out as
+  // one merged frame that only per-flow hedges can rescue. Node 0 is
+  // never anyone else's replica here, so every frame it sees is that
+  // merged one.
+  const auto by_sig = pairs_by_signature(h.cfg, corpus.g.num_vertices(), 12);
+  PairList live, stalled_only;
+  std::size_t tarpit_flows = 0;
+  for (const auto& [sig, pairs] : by_sig) {
+    const bool has_zero =
+        std::find(sig.begin(), sig.end(), 0u) != sig.end();
+    if (sig == std::vector<std::uint32_t>{0}) {
+      stalled_only.insert(stalled_only.end(), pairs.begin(), pairs.end());
+    } else if (!has_zero || sig[0] == 0u) {
+      live.insert(live.end(), pairs.begin(), pairs.end());
+      tarpit_flows += sig[0] == 0u ? 1 : 0;
+    }
+  }
+  ASSERT_EQ(tarpit_flows, 2u);
+  ASSERT_FALSE(stalled_only.empty());
+
+  {
+    Router router(h.cfg, opt);
+    const auto t0 = Clock::now();
+    const auto results = run_batch(router, live);
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                              t0);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(results[i].status, QueryStatus::kOk) << "query " << i;
+      EXPECT_EQ(results[i].adjacent,
+                corpus.adjacent(live[i].first, live[i].second))
+          << "query " << i;
+    }
+    // Each tarpit flow cost one hedge delay, not a per-try timeout.
+    EXPECT_LT(elapsed.count(), opt.per_try_ms / 2);
+    EXPECT_EQ(router.node_stats(0).sent, 1u);
+    for (std::uint32_t i = 1; i < 3; ++i) {
+      EXPECT_GE(router.node_stats(i).hedges, 1u) << "node " << i;
+      EXPECT_GE(router.node_stats(i).hedge_wins, 1u) << "node " << i;
+    }
+    EXPECT_GE(cluster_stat(router, "splits"), 1u);
+  }
+
+  // A flow with no other replica keeps waiting on the primary's arm: it
+  // is never re-sent to the stalled node at the hedge delay.
+  opt.per_try_ms = 300;
+  opt.retry.max_attempts = 1;
+  Router router(h.cfg, opt);
+  PairList qs = live;
+  qs.insert(qs.end(), stalled_only.begin(), stalled_only.end());
+  const auto results = run_batch(router, qs);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    if (i < live.size()) {
+      ASSERT_EQ(results[i].status, QueryStatus::kOk) << "query " << i;
+      EXPECT_EQ(results[i].adjacent,
+                corpus.adjacent(qs[i].first, qs[i].second));
+    } else {
+      EXPECT_EQ(results[i].status, QueryStatus::kUnavailable)
+          << "query " << i;
+    }
+  }
+  const NodeStatsView v = router.node_stats(0);
+  EXPECT_EQ(v.sent, 1u);
+  EXPECT_EQ(v.timeouts, 1u);
+  EXPECT_EQ(v.hedges, 0u);
+}
+
+TEST(ClusterRouter, MergedFrameFailureSplitsBack) {
+  const AdjCorpus corpus;
+  ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
+  RouterOptions opt = fast_router_opts();
+  opt.probe = false;
+  Router router(h.cfg, opt);
+
+  // Node 0 is the primary of the merged frame carrying flows (0,1),
+  // (0,2) and (0); it dies before the batch, so that frame fails at
+  // connect and splits back into its three flows.
+  h.stop_node(0);
+  const auto by_sig = pairs_by_signature(h.cfg, corpus.g.num_vertices(), 12);
+  ASSERT_EQ(by_sig.size(), 9u);
+  PairList qs;
+  for (const auto& [sig, pairs] : by_sig) {
+    qs.insert(qs.end(), pairs.begin(), pairs.end());
+  }
+
+  const auto results = run_batch(router, qs);
+  std::size_t failed_over = 0, unavailable = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const auto elig = h.cfg.eligible_nodes(qs[i].first, qs[i].second);
+    if (elig != std::vector<std::uint32_t>{0}) {
+      ASSERT_EQ(results[i].status, QueryStatus::kOk) << "query " << i;
+      EXPECT_EQ(results[i].adjacent,
+                corpus.adjacent(qs[i].first, qs[i].second))
+          << "query " << i;
+      failed_over += elig[0] == 0u ? 1 : 0;
+    } else {
+      EXPECT_EQ(results[i].status, QueryStatus::kUnavailable)
+          << "query " << i;
+      ++unavailable;
+    }
+  }
+  EXPECT_EQ(failed_over, 24u);  // flows (0,1) and (0,2), 12 pairs each
+  EXPECT_EQ(unavailable, 12u);
+  EXPECT_EQ(router.unavailable_queries(), 12u);
+  EXPECT_GE(cluster_stat(router, "splits"), 1u);
+  EXPECT_GE(router.node_stats(1).retries + router.node_stats(2).retries, 2u);
+  EXPECT_GE(router.node_stats(0).transport_errors, 1u);
+}
+
 // Echo server that answers every batch with a correct-shape kOk frame
 // carrying the WRONG request id — the correlation contract violator.
 class WrongIdServer {
@@ -914,6 +1132,9 @@ TEST(ClusterRouter, ServesBehindNetServerWithSplicedStats) {
   EXPECT_NE(json.find("\"cluster\":{"), std::string::npos);
   EXPECT_NE(json.find("\"state\":\"healthy\""), std::string::npos);
   EXPECT_NE(json.find("\"hedge_wins\":"), std::string::npos);
+  // Router-level frame books: frames per batch from STATS alone.
+  EXPECT_NE(json.find("\"node_frames\":"), std::string::npos);
+  EXPECT_NE(json.find("\"splits\":"), std::string::npos);
 
   front.stop();
   front.join();
